@@ -52,7 +52,7 @@ def main() -> None:
 
         header = DeviceRun.peek(snaps[0])
         print(f"   {snaps[0].name}: kernel={header['kernel']} "
-              f"stepping={header['stepping']} "
+              f"format={header['format_version']} "
               f"events={header['events']} "
               f"sha256={header['payload_sha256'][:12]}…")
         print()

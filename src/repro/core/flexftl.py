@@ -114,62 +114,6 @@ class FlexFtl(BaseFtl):
     # ------------------------------------------------------------------
     # placement
 
-    def _lsb_available(self, chip_id: int, for_gc: bool = False) -> bool:
-        """An LSB page is allocatable now (fast block or a free block)."""
-        if self.managers[chip_id].free_lsb_pages > 0:
-            return True
-        free = len(self.chips[chip_id].free_blocks)
-        if for_gc:
-            return free > 0
-        return free > self.config.gc_reserve_blocks
-
-    def _allocate_host_page(
-        self, chip_id: int, now: float
-    ) -> Optional[Tuple[PhysicalPageAddress, PageType]]:
-        manager = self.managers[chip_id]
-        # _lsb_available inlined (called once per host page write)
-        if manager._fast is not None and manager._fast.remaining > 0:
-            lsb_available = True
-        else:
-            lsb_available = len(self.chips[chip_id].free_blocks) \
-                > self.config.gc_reserve_blocks
-        msb_available = bool(manager._sbqueue)
-        # PolicyManager.choose inlined (same rule, same decision
-        # counters); keep in sync with
-        # :meth:`repro.core.page_allocator.PolicyManager.choose`.
-        policy = self.policy
-        if not lsb_available and not msb_available:
-            return None
-        if not msb_available:
-            choice = PageType.LSB
-        elif not lsb_available:
-            choice = PageType.MSB
-        else:
-            buffer = self.write_buffer
-            utilization = buffer._live / buffer.capacity
-            config = policy.config
-            if utilization > config.u_high:
-                if self.quota.value > 0:
-                    choice = PageType.LSB
-                else:
-                    choice = policy._next_alternate
-                    policy._next_alternate = choice.paired()
-            elif utilization < config.u_low:
-                choice = PageType.MSB
-            else:
-                choice = policy._next_alternate
-                policy._next_alternate = choice.paired()
-        policy.decisions[choice] += 1
-        if choice is PageType.LSB:
-            allocated = self._take_lsb(chip_id, for_gc=False)
-            if allocated is None and manager.has_slow_block:
-                allocated = self._take_msb(chip_id)
-            return allocated
-        allocated = self._take_msb(chip_id)
-        if allocated is None:
-            allocated = self._take_lsb(chip_id, for_gc=False)
-        return allocated
-
     def _allocate_gc_page(
         self, chip_id: int
     ) -> Optional[Tuple[PhysicalPageAddress, PageType]]:
@@ -296,18 +240,19 @@ class FlexFtl(BaseFtl):
 
     def next_op(self, chip_id: int, now: float):
         """Deferred parity invalidation plus the base dispatch, with
-        the host-write pipeline fully open-coded.
+        the host-write pipeline open-coded around the page-type choice.
 
         This runs for every idle chip on every controller pump, and its
-        call chain — base dispatch → ``_host_write_op`` →
-        ``_allocate_host_page`` → policy choice → buffer pop —
-        dominated the simulation profile.  The general forms remain in
-        place for GC, preconditioning, the other FTLs and the tests;
-        keep this in sync with :meth:`repro.ftl.base.BaseFtl.next_op`,
-        :meth:`repro.ftl.base.BaseFtl._host_write_op`,
-        :meth:`_allocate_host_page`,
-        :meth:`repro.core.page_allocator.PolicyManager.choose` and
-        :meth:`repro.sim.queues.WriteBuffer.pop`.
+        call chain — base dispatch → ``_host_write_op`` → page
+        allocation → buffer pop — dominated the simulation profile.
+        The LSB/MSB decision is
+        :meth:`repro.core.page_allocator.PolicyManager.choose`.  The
+        dispatch order follows :meth:`repro.ftl.base.BaseFtl.next_op`
+        and :meth:`repro.ftl.base.BaseFtl._host_write_op`; the page
+        takes, buffer pop and mapping update are open-coded forms of
+        :meth:`_take_lsb`, :meth:`_take_msb`,
+        :meth:`repro.sim.queues.WriteBuffer.pop` and
+        :meth:`repro.ftl.mapping.MappingTable.map_write`.
         """
         if self._pending_invalidations[chip_id]:
             self._flush_parity_invalidations(chip_id)
@@ -325,7 +270,7 @@ class FlexFtl(BaseFtl):
         buffer = self.write_buffer
         if not buffer._live:
             return None
-        # ---- _allocate_host_page, open-coded ----
+        # ---- page allocation, open-coded ----
         manager = self.managers[chip_id]
         fast = manager._fast
         sbqueue = manager._sbqueue
@@ -338,89 +283,68 @@ class FlexFtl(BaseFtl):
         msb_available = bool(sbqueue)
         addr = None
         alloc = None
-        if lsb_available or msb_available:
-            policy = self.policy
-            if not msb_available:
-                choice = PageType.LSB
-            elif not lsb_available:
-                choice = PageType.MSB
-            else:
-                utilization = buffer._live / buffer.capacity
-                config = policy.config
-                if utilization > config.u_high:
-                    if self.quota.value > 0:
-                        choice = PageType.LSB
-                    else:
-                        choice = policy._next_alternate
-                        policy._next_alternate = PageType.MSB \
-                            if choice is PageType.LSB else PageType.LSB
-                elif utilization < config.u_low:
-                    choice = PageType.MSB
-                else:
-                    choice = policy._next_alternate
-                    policy._next_alternate = PageType.MSB \
-                        if choice is PageType.LSB else PageType.LSB
-            policy.decisions[choice] += 1
-            if choice is PageType.LSB:
-                if fast is not None:
-                    # _take_lsb with an installed fast block, inlined
-                    # (cannot fail; the install/free-block path below
-                    # delegates to the method)
-                    wordline = fast._next
-                    fast._next = wordline + 1
-                    block = fast.block
-                    self.quota.value -= 1  # note_lsb_write, inlined
-                    if fast._next >= wordlines:
-                        sbqueue.append(
-                            PhaseCursor(block, wordlines, PageType.MSB))
-                        manager._fast = None
-                        if self._trace is not None:
-                            self._trace.event("2po.lsb_complete",
-                                              chip=chip_id, block=block)
-                        self._enqueue_parity_backup(
-                            chip_id,
-                            owner=self.mapping.global_block_of(
-                                chip_id, block))
-                    elif self.parity_interval > 0 \
-                            and (wordline + 1) % self.parity_interval == 0:
-                        self._enqueue_parity_backup(
-                            chip_id,
-                            owner=self.mapping.global_block_of(
-                                chip_id, block))
-                    page = 2 * wordline
-                    channel, chip = self._coords[chip_id]
-                    addr = tuple.__new__(PhysicalPageAddress,
-                                         (channel, chip, block, page))
-                    ptype = PageType.LSB
-                    ppn = (chip_id * self._pages_per_chip
-                           + block * self._ppb + page)
-                else:
-                    alloc = self._take_lsb(chip_id, for_gc=False)
-                    if alloc is None:
-                        alloc = self._take_msb(chip_id)
-            else:
-                # _take_msb, inlined (an MSB choice implies the SBQueue
-                # is non-empty, so the take cannot fail)
-                cursor = sbqueue[0]
-                wordline = cursor._next
-                cursor._next = wordline + 1
-                block = cursor.block
-                done = cursor._next >= wordlines
-                if done:
-                    sbqueue.popleft()
-                quota = self.quota  # note_msb_write, inlined (saturating)
-                if quota.value < quota.cap:
-                    quota.value += 1
-                page = 2 * wordline + 1
+        # the Section 3.2 page-type rule (None: nothing allocatable)
+        choice = self.policy.choose(buffer._live / buffer.capacity,
+                                    self.quota, lsb_available,
+                                    msb_available)
+        if choice is PageType.LSB:
+            if fast is not None:
+                # _take_lsb with an installed fast block, inlined
+                # (cannot fail; the install/free-block path below
+                # delegates to the method)
+                wordline = fast._next
+                fast._next = wordline + 1
+                block = fast.block
+                self.quota.value -= 1  # note_lsb_write, inlined
+                if fast._next >= wordlines:
+                    sbqueue.append(
+                        PhaseCursor(block, wordlines, PageType.MSB))
+                    manager._fast = None
+                    if self._trace is not None:
+                        self._trace.event("2po.lsb_complete",
+                                          chip=chip_id, block=block)
+                    self._enqueue_parity_backup(
+                        chip_id,
+                        owner=self.mapping.global_block_of(chip_id, block))
+                elif self.parity_interval > 0 \
+                        and (wordline + 1) % self.parity_interval == 0:
+                    self._enqueue_parity_backup(
+                        chip_id,
+                        owner=self.mapping.global_block_of(chip_id, block))
+                page = 2 * wordline
                 channel, chip = self._coords[chip_id]
                 addr = tuple.__new__(PhysicalPageAddress,
                                      (channel, chip, block, page))
-                ptype = PageType.MSB
+                ptype = PageType.LSB
                 ppn = (chip_id * self._pages_per_chip
                        + block * self._ppb + page)
-                if done:
-                    # Block fully written: GC-eligible, parity dead.
-                    self._mark_block_full(chip_id, block)
+            else:
+                alloc = self._take_lsb(chip_id, for_gc=False)
+                if alloc is None:
+                    alloc = self._take_msb(chip_id)
+        elif choice is not None:
+            # _take_msb, inlined (an MSB choice implies the SBQueue
+            # is non-empty, so the take cannot fail)
+            cursor = sbqueue[0]
+            wordline = cursor._next
+            cursor._next = wordline + 1
+            block = cursor.block
+            done = cursor._next >= wordlines
+            if done:
+                sbqueue.popleft()
+            quota = self.quota  # note_msb_write, inlined (saturating)
+            if quota.value < quota.cap:
+                quota.value += 1
+            page = 2 * wordline + 1
+            channel, chip = self._coords[chip_id]
+            addr = tuple.__new__(PhysicalPageAddress,
+                                 (channel, chip, block, page))
+            ptype = PageType.MSB
+            ppn = (chip_id * self._pages_per_chip
+                   + block * self._ppb + page)
+            if done:
+                # Block fully written: GC-eligible, parity dead.
+                self._mark_block_full(chip_id, block)
         if addr is None:
             if alloc is None:
                 # Write-blocked: start (or promote) a foreground

@@ -122,26 +122,22 @@ class PolicyManager:
             The chosen type, or None when no page of either type can
             be allocated (the caller must garbage-collect).
         """
-        if not lsb_available and not msb_available:
-            return None
         if not msb_available:
+            if not lsb_available:
+                return None
             # Corner case (footnote 1): no slow block yet — use LSB.
-            return self._record(PageType.LSB)
-        if not lsb_available:
-            return self._record(PageType.MSB)
-        if utilization > self.config.u_high:
-            if not quota.exhausted:
-                return self._record(PageType.LSB)
-            return self._record(self._alternate())
-        if utilization < self.config.u_low:
-            return self._record(PageType.MSB)
-        return self._record(self._alternate())
-
-    def _alternate(self) -> PageType:
-        choice = self._next_alternate
-        self._next_alternate = choice.paired()
-        return choice
-
-    def _record(self, choice: PageType) -> PageType:
+            choice = PageType.LSB
+        elif not lsb_available:
+            choice = PageType.MSB
+        elif utilization > self.config.u_high and quota.value > 0:
+            choice = PageType.LSB
+        elif utilization < self.config.u_low:
+            # PolicyConfig enforces u_low < u_high, so a high u whose
+            # quota is exhausted never lands here: it alternates below
+            choice = PageType.MSB
+        else:
+            # mid-band u, or high u with the quota exhausted: alternate
+            choice = self._next_alternate
+            self._next_alternate = choice.paired()
         self.decisions[choice] += 1
         return choice

@@ -65,17 +65,6 @@ EXPERIMENT_GEOMETRY = NandGeometry(
     page_size=4096,
 )
 
-#: Chip count past which vectorized batches *could* amortize numpy
-#: call overhead — kept for callers sizing explicit ``stepping=
-#: "vector"`` runs; ``"auto"`` resolves to event stepping (measured;
-#: see :func:`build_system` and docs/PERFORMANCE.md).
-VECTOR_AUTO_CHIPS = 32
-
-#: Minimum same-tick program batch the vector path accepts; smaller
-#: batches run the sequential per-op loop.
-VECTOR_MIN_BATCH = 4
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to build one simulated storage system."""
@@ -102,13 +91,6 @@ class ExperimentConfig:
     #: heap, kept as the equivalence oracle).  Pop order — and hence
     #: every simulation outcome — is identical.
     kernel: str = "calendar"
-    #: chip-dispatch stepping: "event" (one op at a time, the oracle),
-    #: "batch" (independent same-tick ops issued as one flush),
-    #: "vector" (batch + numpy-vectorized NAND programs over a unified
-    #: state store), or "auto" (currently event: closed-loop traffic
-    #: yields singleton batches, so the flush indirection never pays
-    #: — see build_system).  Outcome-identical by design.
-    stepping: str = "auto"
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot, invertible via :meth:`from_dict`.
@@ -120,7 +102,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Keys for fields this version no longer has (an older config's
+        chip-dispatch mode, say) are ignored: they never changed an
+        outcome.
+        """
         return cls(
             geometry=NandGeometry(**data["geometry"]),  # type: ignore[arg-type]
             timing=NandTiming(**data["timing"]),  # type: ignore[arg-type]
@@ -134,7 +121,6 @@ class ExperimentConfig:
             flex_use_predictor=bool(data["flex_use_predictor"]),
             track_history=bool(data.get("track_history", True)),
             kernel=str(data.get("kernel", "calendar")),
-            stepping=str(data.get("stepping", "auto")),
         )
 
 
@@ -251,32 +237,7 @@ def build_system(
         ftl = ftl_cls(array, buffer, config.ftl_config)
     stats = SimStats(page_size=config.geometry.page_size,
                      bandwidth_window=config.bandwidth_window)
-    stepping = config.stepping
-    if stepping == "auto":
-        # Measured: the controller pump runs once per completion, and
-        # completions of a closed-loop workload arrive one at a time,
-        # so same-tick batches are almost always singletons (314k of
-        # 314k flushes at 16x geometry) and the flush indirection only
-        # costs.  Batch/vector stay as explicit, outcome-identical
-        # opt-ins for open-loop burst traffic; auto takes the fast
-        # path.  See docs/PERFORMANCE.md.
-        stepping = "event"
-    if stepping == "event":
-        batching, vector_min = False, None
-    elif stepping == "batch":
-        batching, vector_min = True, None
-    elif stepping == "vector":
-        batching = True
-        # Falls back to plain batching when numpy is unavailable.
-        vector_min = (VECTOR_MIN_BATCH
-                      if array.unify_state_store() else None)
-    else:
-        raise ValueError(
-            f"unknown stepping {config.stepping!r}; choose "
-            f"'auto', 'event', 'batch' or 'vector'")
-    controller = StorageController(sim, array, ftl, buffer, stats,
-                                   batching=batching,
-                                   vector_min=vector_min)
+    controller = StorageController(sim, array, ftl, buffer, stats)
     return sim, array, buffer, ftl, controller
 
 

@@ -68,8 +68,6 @@ def _cli_arguments(parser) -> None:
     parser.add_argument("--kernel", default="calendar",
                         choices=("calendar", "heap"),
                         help="event-queue kernel per device")
-    parser.add_argument("--stepping", default="auto",
-                        help="chip stepping mode per device")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="snapshot directory (enables "
                              "checkpointing)")
@@ -166,8 +164,7 @@ def _cli_run(args, engine_options: EngineOptions
         tenants=args.tenants,
         arbiter=args.arbiter,
         seed=args.seed,
-        config=fleet_config(kernel=args.kernel,
-                            stepping=args.stepping),
+        config=fleet_config(kernel=args.kernel),
     )
     return run_fleet(
         fleet,

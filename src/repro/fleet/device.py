@@ -43,17 +43,6 @@ from repro.qos.host import MultiTenantHost
 from repro.scenarios.base import Scenario, scenario_from_spec
 
 
-def resolved_stepping(config: ExperimentConfig) -> str:
-    """The stepping mode a config actually runs under.
-
-    ``auto`` resolves to event stepping (see
-    :func:`~repro.experiments.runner.build_system`); snapshot headers
-    record the resolved mode so two spellings of the same behaviour
-    stay resume-compatible.
-    """
-    return "event" if config.stepping == "auto" else config.stepping
-
-
 @dataclasses.dataclass(frozen=True)
 class DeviceSpec:
     """Declarative description of one simulated device.
@@ -65,8 +54,7 @@ class DeviceSpec:
             key.
         scenario: the workload's JSON-safe scenario spec (see
             :meth:`repro.scenarios.base.Scenario.spec`).
-        config: system configuration (geometry, timing, kernel,
-            stepping, ...).
+        config: system configuration (geometry, timing, kernel, ...).
         arbiter: QoS arbitration policy name; when set and the
             scenario carries tenant bindings, the device runs behind
             the multi-tenant submission-queue front-end.
@@ -212,7 +200,6 @@ class DeviceRun:
         return {
             "kind": "device_run",
             "kernel": self.spec.config.kernel,
-            "stepping": resolved_stepping(self.spec.config),
             "ftl_name": self.spec.ftl_name,
             "device_id": self.spec.device_id,
             "sim_now": repr(self.sim.now),
@@ -227,11 +214,11 @@ class DeviceRun:
         ``extra_header`` entries (e.g. the owning fleet's spec hash)
         are merged into the snapshot header for resume-time checks.
         """
-        if "_execute" in self.controller.__dict__:
+        if self.controller._trace is not None:
             raise SnapshotError(
-                "cannot snapshot a device while a tracer is "
-                "installed: the tracer patches the controller with an "
-                "unpicklable closure.  Detach the tracer (or trace "
+                "cannot snapshot a device while a tracer (or OpLog) is "
+                "installed: its capture state is not part of a "
+                "device's checkpoint.  Detach the tracer (or trace "
                 "only untraced fleet runs) and retry.")
         header = self.snapshot_header()
         if extra_header:
@@ -246,8 +233,8 @@ class DeviceRun:
         """Resume a device from a snapshot file.
 
         ``expect_config`` (usually the resuming fleet's config) pins
-        the kernel and stepping mode; a mismatch refuses with a clear
-        error instead of risking divergence.  ``expect_fleet_hash``
+        the kernel; a mismatch refuses with a clear error instead of
+        risking divergence.  ``expect_fleet_hash``
         pins the owning :class:`~repro.fleet.service.FleetSpec`'s
         content hash: snapshot paths are named only by device id, so
         two different fleets sharing a checkpoint directory would
@@ -255,12 +242,9 @@ class DeviceRun:
         written without a fleet hash (direct ``save()`` callers) is
         accepted.
         """
-        expect_kernel = expect_stepping = None
-        if expect_config is not None:
-            expect_kernel = expect_config.kernel
-            expect_stepping = resolved_stepping(expect_config)
-        header, run = read_snapshot(path, expect_kernel=expect_kernel,
-                                    expect_stepping=expect_stepping)
+        expect_kernel = None if expect_config is None \
+            else expect_config.kernel
+        header, run = read_snapshot(path, expect_kernel=expect_kernel)
         if header.get("kind") != "device_run" \
                 or not isinstance(run, cls):
             raise SnapshotError(

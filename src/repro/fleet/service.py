@@ -57,12 +57,11 @@ FLEET_GEOMETRY = NandGeometry(
 )
 
 
-def fleet_config(kernel: str = "calendar",
-                 stepping: str = "auto") -> ExperimentConfig:
+def fleet_config(kernel: str = "calendar") -> ExperimentConfig:
     """The default per-device configuration for fleet serving."""
     return ExperimentConfig(geometry=FLEET_GEOMETRY,
                             track_history=False,
-                            kernel=kernel, stepping=stepping)
+                            kernel=kernel)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,11 +19,11 @@ File layout (all integers big-endian)::
 
 The header is readable without unpickling anything: it names the
 snapshot format version, the package version that wrote the file, the
-simulation kernel (``calendar``/``heap``) and stepping mode, and a
-SHA-256 over the payload so truncation or corruption is detected
-before the unpickler ever runs.  Resuming under a mismatched kernel is
-refused with a clear error — pending-event layouts differ between
-kernels, so a silent cross-load could never be byte-faithful.
+simulation kernel (``calendar``/``heap``), and a SHA-256 over the
+payload so truncation or corruption is detected before the unpickler
+ever runs.  Resuming under a mismatched kernel is refused with a clear
+error — pending-event layouts differ between kernels, so a silent
+cross-load could never be byte-faithful.
 
 Snapshot files are pickles: load them only from paths you (or your
 own checkpointing run) wrote, never from untrusted sources.
@@ -47,8 +47,11 @@ from repro import __version__
 SNAPSHOT_MAGIC = b"RPROSNAP"
 
 #: Bump when the header schema or payload contract changes; a reader
-#: refuses files written under a different format version.
-SNAPSHOT_FORMAT_VERSION = 1
+#: refuses files written under a different format version.  Format 2:
+#: the controller no longer holds a batched NAND-program entry point
+#: (format-1 pickles reference one and cannot load), and the header no
+#: longer records a chip-dispatch mode.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _LEN = struct.Struct(">I")
 
@@ -91,19 +94,18 @@ def write_snapshot(path: "Path | str", payload: Any,
                    header: Dict[str, Any]) -> Dict[str, Any]:
     """Write ``payload`` (pickled) under a versioned header.
 
-    ``header`` must carry at least ``kernel`` and ``stepping``; the
-    format version, package version, payload digest and payload length
-    are filled in here.  The write is crash-safe, not merely atomic:
-    the temp file is fsynced before the rename and the containing
-    directory is fsynced on either side of it, so a *host* crash (not
-    just a process kill) can never leave a zero-length or torn
-    ``.snap`` where a good one stood — the old snapshot survives until
-    the new one is durable.  Returns the full header as written.
+    ``header`` must carry at least ``kernel``; the format version,
+    package version, payload digest and payload length are filled in
+    here.  The write is crash-safe, not merely atomic: the temp file
+    is fsynced before the rename and the containing directory is
+    fsynced on either side of it, so a *host* crash (not just a
+    process kill) can never leave a zero-length or torn ``.snap``
+    where a good one stood — the old snapshot survives until the new
+    one is durable.  Returns the full header as written.
     """
     path = Path(path)
-    for field in ("kernel", "stepping"):
-        if field not in header:
-            raise ValueError(f"snapshot header needs {field!r}")
+    if "kernel" not in header:
+        raise ValueError("snapshot header needs 'kernel'")
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     full = dict(header)
     full["format_version"] = SNAPSHOT_FORMAT_VERSION
@@ -166,7 +168,6 @@ def read_snapshot_header(path: "Path | str") -> Dict[str, Any]:
 def read_snapshot(
     path: "Path | str",
     expect_kernel: Optional[str] = None,
-    expect_stepping: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], Any]:
     """Load ``(header, payload)``, verifying integrity and context.
 
@@ -176,7 +177,6 @@ def read_snapshot(
             mismatch raises :class:`SnapshotMismatchError` instead of
             resuming a calendar-queue event set onto a heap (or vice
             versa).
-        expect_stepping: same, for the chip-stepping mode.
 
     A package-version skew (file written by a different release) is
     not fatal — pickles usually survive small releases — but it is
@@ -206,13 +206,6 @@ def read_snapshot(
             f"between kernels, so resume is refused.  Re-run with "
             f"kernel={header.get('kernel')!r} (or restart from "
             f"scratch under the new kernel).")
-    if expect_stepping is not None \
-            and header.get("stepping") != expect_stepping:
-        raise SnapshotMismatchError(
-            f"{path} was checkpointed with stepping="
-            f"{header.get('stepping')!r} but this run resumes with "
-            f"stepping={expect_stepping!r}; refuse rather than risk "
-            f"divergence.  Re-run with the snapshot's stepping mode.")
     written_by = header.get("package_version")
     if written_by != __version__:
         warnings.warn(

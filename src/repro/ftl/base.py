@@ -961,15 +961,19 @@ class BaseFtl(abc.ABC):
     # ------------------------------------------------------------------
     # subclass interface
 
-    @abc.abstractmethod
     def _allocate_host_page(
         self, chip_id: int, now: float
     ) -> Optional[Tuple[PhysicalPageAddress, PageType]]:
         """Pick the physical page for the next host write on a chip.
 
         Returns None when no page can be allocated without a garbage
-        collection (the base class then drives one).
+        collection (the base class then drives one).  Required by the
+        base :meth:`_host_write_op`; an FTL that open-codes its host
+        write path in :meth:`next_op` (flexFTL) need not provide it.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not allocate host pages through "
+            f"the base host-write path")
 
     @abc.abstractmethod
     def _allocate_gc_page(

@@ -9,7 +9,7 @@ time is handled by the discrete-event simulation layer
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.nand.block import ERASED_CODE, PROGRAMMED_CODE
 from repro.nand.chip import Chip
@@ -17,11 +17,6 @@ from repro.nand.geometry import NandGeometry, PhysicalPageAddress
 from repro.nand.page_types import PageType, split_index
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
-
-try:  # optional: the vectorized program_batch path needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 _PTYPES = (PageType.LSB, PageType.MSB)
 
@@ -49,15 +44,6 @@ class NandArray:
         self._cpc = g.chips_per_channel
         self._bpc = g.blocks_per_chip
         self._ppb = g.pages_per_block
-        #: scheme identity as plain booleans for the vectorized
-        #: legality check (mirrors Chip._unconstrained / Chip._fps)
-        self._seq_unconstrained = scheme is SequenceScheme.NONE
-        self._seq_fps = scheme is SequenceScheme.FPS
-        #: device-wide flat page-state buffer (see unify_state_store);
-        #: None until adopted — the default per-block bytearrays stay
-        #: untouched for event-at-a-time runs
-        self._state_store: Optional[bytearray] = None
-        self._np_states = None
         self.chips: List[Chip] = [
             Chip(
                 chip_id,
@@ -134,141 +120,6 @@ class NandArray:
         c.busy_time += duration
         return duration
 
-    def unify_state_store(self) -> bool:
-        """Re-back every block's page states with one flat device-wide
-        buffer.
-
-        Each :class:`Block`'s ``_states`` becomes a memoryview slice of
-        a single ``bytearray`` (block erase then zeroes in place, so
-        views stay valid), and a numpy view over the same buffer powers
-        the vectorized :meth:`program_batch` path.  Idempotent; returns
-        False (leaving the layout unchanged) when numpy is unavailable.
-        """
-        if _np is None:
-            return False
-        if self._np_states is not None:
-            return True
-        ppb = self._ppb
-        store = bytearray(len(self.chips) * self._bpc * ppb)
-        view = memoryview(store)
-        offset = 0
-        for chip in self.chips:
-            for blk in chip.blocks:
-                state_slice = view[offset:offset + ppb]
-                state_slice[:] = blk._states
-                blk._states = state_slice
-                offset += ppb
-        self._state_store = store
-        self._np_states = _np.frombuffer(store, dtype=_np.uint8)
-        return True
-
-    def program_batch(self, addrs: Sequence[PhysicalPageAddress],
-                      datas: Optional[Sequence[Optional[bytes]]] = None
-                      ) -> List[float]:
-        """Program many pages; returns their latencies in order.
-
-        Semantically ``[self.program(a, d) for a, d in zip(addrs,
-        datas)]``.  When the unified state store is adopted
-        (:meth:`unify_state_store`) and every address targets a
-        distinct chip, the legality/erased checks and state writes run
-        vectorized over the flat buffer; any anomaly (shared chip,
-        out-of-range address, non-erased or illegal target) falls back
-        to the sequential loop, which raises the exact per-op errors.
-        """
-        if datas is None:
-            datas = (None,) * len(addrs)
-        np_states = self._np_states
-        if np_states is not None and len(addrs) >= 2:
-            latencies = self._program_batch_vector(addrs, datas,
-                                                   np_states)
-            if latencies is not None:
-                return latencies
-        program = self.program
-        return [program(addr, data)
-                for addr, data in zip(addrs, datas)]
-
-    def _program_batch_vector(self, addrs, datas, states):
-        """Vector attempt for :meth:`program_batch`.
-
-        Returns the latency list, or None when the batch cannot be
-        proven safe vectorized (the caller then falls back to the
-        sequential path).
-        """
-        addr_mat = _np.asarray(addrs, dtype=_np.intp)
-        if addr_mat.ndim != 2 or addr_mat.shape[1] != 4:
-            return None
-        channel = addr_mat[:, 0]
-        chip = addr_mat[:, 1]
-        block = addr_mat[:, 2]
-        page = addr_mat[:, 3]
-        cpc = self._cpc
-        bpc = self._bpc
-        ppb = self._ppb
-        if (channel.min() < 0 or channel.max() >= self._channels
-                or chip.min() < 0 or chip.max() >= cpc
-                or block.min() < 0 or block.max() >= bpc
-                or page.min() < 0 or page.max() >= ppb):
-            return None
-        chip_index = channel * cpc + chip
-        if _np.unique(chip_index).shape[0] != addr_mat.shape[0]:
-            # Two ops on one chip could depend on each other's writes;
-            # only the sequential loop models that.
-            return None
-        flat = (chip_index * bpc + block) * ppb + page
-        if states[flat].any():
-            return None  # a target is not erased
-        if not self._seq_unconstrained:
-            prog = _np.uint8(PROGRAMMED_CODE)
-            top = states.shape[0] - 1
-
-            def code_at(index):
-                # Gather with clipped indices: clipped lanes are always
-                # masked out by the accompanying page-position test.
-                return states[_np.clip(index, 0, top)]
-
-            msb = (page & 1).astype(bool)
-            lsb = ~msb
-            legal = _np.ones(len(addrs), dtype=bool)
-            flat_lsb = flat[lsb]
-            page_lsb = page[lsb]
-            legal[lsb] = (page_lsb == 0) | (code_at(flat_lsb - 2) == prog)
-            if self._seq_fps:
-                legal[lsb] &= ((page_lsb < 4)
-                               | (code_at(flat_lsb - 3) == prog))
-            flat_msb = flat[msb]
-            page_msb = page[msb]
-            legal[msb] = (
-                (code_at(flat_msb - 1) == prog)
-                & ((page_msb < 2) | (code_at(flat_msb - 2) == prog))
-                & ((page_msb + 1 >= ppb)
-                   | (code_at(flat_msb + 1) == prog)))
-            if not legal.all():
-                return None
-        states[flat] = PROGRAMMED_CODE
-        # Per-op bookkeeping stays in python: one op per chip keeps
-        # this loop short, and it must mirror ``program`` exactly.
-        chips = self.chips
-        latencies = []
-        append = latencies.append
-        for i in range(len(addrs)):
-            c = chips[chip_index[i]]
-            blk = c.blocks[block[i]]
-            index = int(page[i])
-            blk._used += 1
-            if blk._data is not None:
-                blk._data[index] = datas[i]
-            if blk.track_history:
-                blk.program_history.append(index)
-            half = index & 1
-            if half:
-                c.msb_programs += 1
-            else:
-                c.lsb_programs += 1
-            duration = c._prog_times[half]
-            c.busy_time += duration
-            append(duration)
-        return latencies
-
     def read(self, addr: PhysicalPageAddress) -> "tuple[Optional[bytes], float]":
         """Read the page at ``addr``; returns ``(payload, latency)``."""
         channel, chip, block, page = addr
@@ -319,32 +170,6 @@ class NandArray:
     def total_reads(self) -> int:
         """Total page reads across all dies."""
         return sum(chip.reads for chip in self.chips)
-
-    # ------------------------------------------------------------------
-    # snapshot support
-
-    def __getstate__(self) -> dict:
-        """Pickle support for the unified state store.
-
-        The flat buffer and its numpy view alias every block's
-        ``_states`` memoryview; pickle cannot preserve buffer aliasing
-        (numpy arrays deep-copy), so drop both and record only that
-        unification was on.  Blocks flatten their own views to
-        bytearrays (:meth:`repro.nand.block.Block.__getstate__`), and
-        ``__setstate__`` re-unifies from those — same layout, same
-        contents.
-        """
-        state = self.__dict__.copy()
-        state["_np_states"] = None
-        state["_state_store"] = None
-        state["_was_unified"] = self._np_states is not None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        was_unified = state.pop("_was_unified", False)
-        self.__dict__.update(state)
-        if was_unified:
-            self.unify_state_store()
 
     def page_type_of(self, addr: PhysicalPageAddress) -> PageType:
         """Page type (LSB/MSB) of the page at ``addr``."""

@@ -182,14 +182,7 @@ class Block:
 
     def erase(self) -> None:
         """Erase the block, resetting all page state and the history."""
-        states = self._states
-        if type(states) is bytearray:
-            self._states = bytearray(self.pages)
-        else:
-            # Unified device-wide store (NandArray.unify_state_store):
-            # the block's states are a memoryview slice that aliased
-            # buffers depend on, so zero in place instead of rebinding.
-            states[:] = bytes(self.pages)
+        self._states = bytearray(self.pages)
         if self._data is not None:
             self._data = [None] * self.pages
         if self.program_history:
@@ -208,21 +201,6 @@ class Block:
         self._states[index] = DESTROYED_CODE
         if self._data is not None:
             self._data[index] = None
-
-    def __getstate__(self) -> dict:
-        """Pickle support: flatten a unified-store memoryview.
-
-        After :meth:`repro.nand.array.NandArray.unify_state_store`,
-        ``_states`` is a memoryview slice of the device-wide store;
-        memoryviews do not pickle, so snapshot the bytes and let the
-        array re-unify on restore (its own ``__setstate__`` runs after
-        the blocks').
-        """
-        state = self.__dict__.copy()
-        states = state["_states"]
-        if type(states) is not bytearray:
-            state["_states"] = bytearray(states)
-        return state
 
     def __repr__(self) -> str:
         return (

@@ -10,9 +10,9 @@ adds three cross-cutting facilities:
   records emitted from the controller, the FTLs, the fault machinery
   and the QoS front-end, with an in-memory ring buffer and a JSONL
   sink.  Tracing is strictly opt-in: when no tracer is installed the
-  hot paths are byte-for-byte the PR-2 fast paths (the controller's
-  ``_execute`` is only *replaced* at install time, never wrapped), and
-  cold paths pay a single ``is None`` check.
+  controller's single op-issue path, ``_execute``, pays one ``is None``
+  check per op (when one is, it appends a flat record to the tracer's
+  op ring there), and cold paths pay the same single check.
 * a **metrics registry**
   (:class:`~repro.observability.metrics.MetricsRegistry`): counters,
   gauges and histograms labeled by chip/tenant/ftl, recorded on the

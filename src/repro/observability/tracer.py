@@ -3,20 +3,19 @@
 Design constraints, in order:
 
 1. **Zero overhead when off.**  No component calls into this module
-   unless a tracer is installed: the hot dispatch path is *replaced*
-   (``StorageController._execute`` is deliberately late-bound for
-   exactly this purpose — the OpLog in :mod:`repro.sim.tracing` set
-   the precedent), and every cold emission site guards with a single
-   ``self._trace is not None`` check against a class attribute that
-   defaults to ``None``.
+   unless a tracer is installed: the one op-issue path,
+   ``StorageController._execute``, and every cold emission site guard
+   with a single ``self._trace is not None`` check against a class
+   attribute that defaults to ``None``.
 
-2. **Low overhead when on.**  Per-op capture appends *scalars* to a
-   flat list via one ``list.extend`` call.  Retaining tuples or op
-   objects would keep GC-tracked objects alive in the buffer: the
-   cyclic collector rescans that ever-growing live set and the
-   simulation rate drops 15-40% (measured — retaining the completion
-   heap entries themselves, a zero-allocation capture on paper, lost
-   42%).  Floats, ints and interned strings are never GC-tracked, and
+2. **Low overhead when on.**  Per-op capture in ``_execute`` appends
+   *scalars* to this tracer's flat op ring via one ``list.extend``
+   call (the :class:`~repro.sim.tracing.OpLog` is a view over the
+   same ring).  Retaining tuples or op objects would keep GC-tracked
+   objects alive in the buffer: the cyclic collector rescans that
+   ever-growing live set and the simulation rate drops 15-40%
+   (measured — retaining the completion heap entries themselves, a
+   zero-allocation capture on paper, lost 42%).  Floats, ints and interned strings are never GC-tracked, and
    the transient argument tuple nets zero allocation-counter
    pressure.  Field decoding (kind names, phases) is deferred to
    :meth:`events` materialization, off the hot path.  The measured
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import gc
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from math import inf
 from typing import Dict, List, Optional
 
@@ -61,10 +60,6 @@ from repro.observability import events as ev
 from repro.observability.events import OP_KIND_NAMES, TraceEvent
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiler import PhaseProfiler
-from repro.sim.ops import OpKind
-
-_PROGRAM = OpKind.PROGRAM
-_READ = OpKind.READ
 
 #: Fields per flat op record: (t_issue, t_done, chip, kind_code, tag,
 #: block, page, lpn) — phase is derived at materialization.
@@ -112,8 +107,13 @@ class Tracer:
         self.dropped_ops = 0
         self.metrics = MetricsRegistry()
         self.meta: Dict[str, object] = {}
-        #: flat scalar buffers (see the module docstring for why)
+        #: flat scalar buffers (see the module docstring for why); the
+        #: op ring is fed by ``StorageController._execute``
         self._op_raw: List[object] = []
+        #: ring length past which ``_execute`` calls :meth:`_trim` (one
+        #: comparison per op; an unbounded ring compares against inf)
+        self._op_limit = inf if capacity is None \
+            else (capacity + _TRIM_SLACK) * _OP_WIDTH
         self._alloc_raw: List[object] = []
         self._warm_raw: List[object] = []
         self._cold: List[TraceEvent] = []
@@ -126,8 +126,9 @@ class Tracer:
         self._sim = None
         self._controller = None
         self._installed = False
-        self._saved_execute: Optional[object] = None
-        self._had_saved_execute = False
+        #: the OpLog ring-only tracer this one took the controller's
+        #: ring over from (restored by detach), or None
+        self._prior_ring: Optional["Tracer"] = None
         self._saved_hook: Optional[object] = None
         self._had_saved_hook = False
         self._saved_gc_threshold: Optional[tuple] = None
@@ -138,16 +139,36 @@ class Tracer:
     def install(self, controller, qos_host=None) -> "Tracer":
         """Arm tracing on a controller (and optionally a QoS host).
 
-        Replaces ``controller._execute`` with a traced copy, chains
-        into the FTL's ``_after_host_program`` hook, and plants
-        ``_trace``/``_metrics`` references on the controller, the FTL
-        and (when given) the QoS host so their cold paths emit.  A
-        disabled tracer installs nothing.
+        Plants ``_trace``/``_metrics`` references on the controller,
+        the FTL and (when given) the QoS host — the controller's
+        ``_execute`` then feeds this tracer's op ring and their cold
+        paths emit — and chains into the FTL's ``_after_host_program``
+        hook.  A disabled tracer installs nothing.
+
+        A controller records into one op ring.  If an
+        :class:`~repro.sim.tracing.OpLog` already armed one, this
+        tracer takes it over (same list, so the log keeps seeing every
+        op) and hands it back on :meth:`detach`; a second tracer, or a
+        ring of another capacity, raises :class:`RuntimeError`.
         """
         if not self.enabled:
             return self
         if self._installed:
             raise RuntimeError("tracer is already installed")
+        prior = controller._trace
+        if prior is not None:
+            if prior._installed:
+                raise RuntimeError(
+                    "the controller already has a tracer installed; "
+                    "detach it first")
+            if prior.capacity != self.capacity:
+                raise RuntimeError(
+                    f"the controller's OpLog ring has capacity "
+                    f"{prior.capacity}, this tracer {self.capacity}; "
+                    f"one controller records into one ring")
+            self._op_raw = prior._op_raw
+            self.dropped_ops = prior.dropped_ops
+        self._prior_ring = prior
         self._installed = True
         self._controller = controller
         self._sim = controller.sim
@@ -174,13 +195,6 @@ class Tracer:
             "buffer_capacity": controller.write_buffer.capacity,
             "wordlines_per_block": ftl.wordlines,
         }
-
-        # _execute is an instance attribute only if something (a test,
-        # the OpLog) already patched it; remember either way so detach
-        # can restore the exact prior state.
-        self._had_saved_execute = "_execute" in controller.__dict__
-        self._saved_execute = controller.__dict__.get("_execute")
-        controller._execute = self._make_traced_execute(controller)
 
         # Chain the allocation hook.  _after_host_program may be a
         # class-level method (rtfFTL/parityFTL), an instance attribute
@@ -217,18 +231,22 @@ class Tracer:
             return
         controller = self._controller
         ftl = controller.ftl
-        if self._had_saved_execute:
-            controller._execute = self._saved_execute
-        else:
-            del controller.__dict__["_execute"]
         if self._had_saved_hook:
             ftl._after_host_program = self._saved_hook
         else:
             del ftl.__dict__["_after_host_program"]
-        for component in (controller, ftl):
-            component._trace = None
-            component._metrics = None
+        ftl._trace = None
+        ftl._metrics = None
         ftl._parity_counters = None
+        controller._metrics = None
+        prior = self._prior_ring
+        controller._trace = prior
+        if prior is not None:
+            # hand the ring back to the OpLog; keep a private copy of
+            # what was captured while installed
+            prior.dropped_ops = self.dropped_ops
+            self._op_raw = list(self._op_raw)
+            self._prior_ring = None
         if self._saved_gc_threshold is not None:
             gc.set_threshold(*self._saved_gc_threshold)
             self._saved_gc_threshold = None
@@ -294,83 +312,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # hot-path capture machinery
 
-    def _make_traced_execute(self, controller):
-        """A traced copy of ``StorageController._execute``.
-
-        The body below is the PR-2 fast path *verbatim* (keep in sync
-        with :meth:`repro.sim.controller.StorageController._execute`)
-        plus one ``list.extend`` of eight scalars per op.  It is a
-        copy, not a wrapper: wrapping would add a Python frame per op,
-        which alone busts the overhead budget.  ``done`` is computed
-        term-for-term as the original's ``now + total``: a
-        re-associated sum can differ in the last ulp, and event times
-        must be bit-identical to the untraced run's.  ``_busy``/
-        ``_idle``/``_channel_free`` are read through the controller on
-        every call because ``reset_after_power_loss`` rebinds them.
-        """
-        sim = controller.sim
-        chips_per_channel = controller._chips_per_channel
-        t_transfer = controller._t_transfer
-        array_program = controller._array_program
-        array_read = controller._array_read
-        array_erase = controller._array_erase
-        # never rebound after construction: safe to hoist
-        on_op_done = controller._on_op_done
-        in_flight = controller.in_flight
-        sim_push = sim._push
-        raw = self._op_raw
-        raw_extend = raw.extend
-        capacity = self.capacity
-        # `len(raw) >= limit` is one comparison whether or not a ring
-        # is configured: an unbounded buffer compares against infinity.
-        limit = inf if capacity is None \
-            else (capacity + _TRIM_SLACK) * _OP_WIDTH
-        keep = None if capacity is None else capacity * _OP_WIDTH
-        tracer = self
-
-        def _traced_execute(chip_id, op, read_request):
-            now = sim.now
-            kind = op.kind
-            addr = op.addr
-            if kind is _PROGRAM:
-                channel = chip_id // chips_per_channel
-                channel_free = controller._channel_free
-                start = channel_free[channel]
-                if start < now:
-                    start = now
-                channel_free[channel] = start + t_transfer
-                latency = array_program(addr, op.data)
-                done = now + ((start - now) + t_transfer + latency)
-                code = 0
-            elif kind is _READ:
-                channel = chip_id // chips_per_channel
-                channel_free = controller._channel_free
-                start = channel_free[channel]
-                if start < now:
-                    start = now
-                channel_free[channel] = start + t_transfer
-                _, latency = array_read(addr)
-                done = now + ((start - now) + t_transfer + latency)
-                code = 1
-            else:
-                done = now + array_erase(addr[0], addr[1], addr[2])
-                code = 2
-            lpn = op.lpn
-            raw_extend((now, done, chip_id, code, op.tag, addr[2],
-                        addr[3], -1 if lpn is None else lpn))
-            if len(raw) >= limit:
-                drop = len(raw) - keep
-                tracer.dropped_ops += drop // _OP_WIDTH
-                del raw[:drop]
-            controller._busy[chip_id] = True
-            idle = controller._idle
-            del idle[bisect_left(idle, chip_id)]
-            in_flight[chip_id] = op
-            sim_push([done, 0, next(sim._seq), on_op_done,
-                      (chip_id, op, read_request), False, sim._cancelled])
-
-        return _traced_execute
-
     def _make_alloc_hook(self, ftl):
         """The chained ``_after_host_program`` hook capturing one
         allocation-decision record per placed host page.
@@ -407,7 +348,8 @@ class Tracer:
     def _trim(self) -> None:
         """Enforce the ring capacity exactly.
 
-        The hot path trims lazily (every ``_TRIM_SLACK`` records), so
+        ``StorageController._execute`` calls this lazily (once the ring
+        passes ``_op_limit``, every ``_TRIM_SLACK`` records), so
         the buffer may briefly exceed ``capacity`` mid-run; every
         observation point (:attr:`op_count`, :meth:`events`) settles
         the debt first.

@@ -98,10 +98,6 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
         "--kernel", choices=("calendar", "heap"), default="calendar",
         help="event-queue implementation to benchmark "
              "(default calendar; heap is the frozen oracle)")
-    parser.add_argument(
-        "--stepping", choices=("auto", "event", "batch", "vector"),
-        default="auto",
-        help="chip-dispatch stepping mode (default auto)")
 
 
 def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
@@ -162,7 +158,6 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
                 rounds=args.rounds if args.rounds is not None else 3,
                 multipliers=multipliers,
                 kernel=args.kernel,
-                stepping=args.stepping,
                 output_path=args.output,
             )
         except (KeyError, ValueError) as error:
@@ -177,7 +172,6 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
             profile_path=args.profile,
             output_path=args.output,
             kernel=args.kernel,
-            stepping=args.stepping,
         )
     except (KeyError, ValueError) as error:
         raise registry.CliError(str(error.args[0])) from error

@@ -220,7 +220,6 @@ class PerfbenchResult:
     floor: Optional[float] = None
     profile_path: Optional[str] = None
     kernel: str = "calendar"
-    stepping: str = "auto"
 
     # -- summary -------------------------------------------------------
 
@@ -247,7 +246,6 @@ class PerfbenchResult:
             "span": self.span,
             "track_history": self.track_history,
             "kernel": self.kernel,
-            "stepping": self.stepping,
             "python": platform.python_version(),
             "workloads": {name: t.to_dict()
                           for name, t in self.timings.items()},
@@ -815,7 +813,7 @@ class SweepPoint:
 
     ``new`` holds events/sec of the configuration under test (the
     default calendar kernel), ``baseline`` of the heap-kernel
-    event-stepping oracle on the *same* streams; the two arms run
+    oracle on the *same* streams; the two arms run
     interleaved with alternating order so wall-clock drift cancels.
     ``events`` is asserted identical across every run of both arms —
     the sweep doubles as an end-to-end equivalence check.
@@ -867,7 +865,6 @@ class ScaleSweepResult:
     seed: int
     rounds: int
     kernel: str
-    stepping: str
     points: List[SweepPoint]
     #: free-form context block recorded verbatim in the JSON (e.g. the
     #: prior bench file this sweep is compared against).
@@ -887,12 +884,11 @@ class ScaleSweepResult:
             "seed": self.seed,
             "rounds": self.rounds,
             "kernel": self.kernel,
-            "stepping": self.stepping,
             "python": platform.python_version(),
             "methodology": (
                 "per geometry multiplier, paired runs of the "
                 "configuration under test and the heap-kernel "
-                "event-stepping oracle on identical streams, order "
+                "oracle on identical streams, order "
                 "alternating per round, GC quiesced, warm-up fill "
                 "inside the timed region; best-of rates compared "
                 "(noise is strictly additive); event counts asserted "
@@ -906,8 +902,8 @@ class ScaleSweepResult:
     def render(self) -> str:
         rows = [
             f"scale sweep: {self.workload} (scale {self.scale:g}, "
-            f"{self.rounds} rounds/arm, kernel={self.kernel}, "
-            f"stepping={self.stepping} vs heap/event baseline)",
+            f"{self.rounds} rounds/arm, kernel={self.kernel} vs "
+            f"heap baseline)",
             f"{'mult':>5s} {'chips':>6s} {'events':>9s} "
             f"{'new ev/s':>10s} {'base ev/s':>10s} {'speedup':>8s}",
         ]
@@ -926,7 +922,6 @@ def run_scale_sweep(
     rounds: int = 3,
     multipliers: Sequence[int] = SWEEP_MULTIPLIERS,
     kernel: str = "calendar",
-    stepping: str = "auto",
     reference: Optional[Dict[str, object]] = None,
     output_path: Optional[str] = None,
 ) -> ScaleSweepResult:
@@ -934,8 +929,8 @@ def run_scale_sweep(
 
     For each multiplier the device grows to ``m`` times the chips
     (:func:`sweep_geometry`) and the same generated streams are timed
-    under both the configuration under test (``kernel``/``stepping``)
-    and the frozen heap-kernel event-stepping oracle, interleaved.
+    under both the configuration under test (``kernel``) and the
+    frozen heap-kernel oracle, interleaved.
     Every run's event count must match across arms — a mismatch means
     the kernels diverged and raises ``RuntimeError`` rather than
     reporting a meaningless speedup.
@@ -952,10 +947,10 @@ def run_scale_sweep(
         geometry = sweep_geometry(multiplier)
         new_config = ExperimentConfig(geometry=geometry,
                                       track_history=False,
-                                      kernel=kernel, stepping=stepping)
+                                      kernel=kernel)
         base_config = ExperimentConfig(geometry=geometry,
                                        track_history=False,
-                                       kernel="heap", stepping="event")
+                                       kernel="heap")
         _, _, _, probe, _ = build_system(BENCH_FTL, new_config)
         span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
         streams = WORKLOADS[workload](span, scale, seed)
@@ -991,7 +986,6 @@ def run_scale_sweep(
         seed=seed,
         rounds=rounds,
         kernel=kernel,
-        stepping=stepping,
         points=points,
         reference=reference,
     )
@@ -1011,7 +1005,6 @@ def run_perfbench(
     profile_path: Optional[str] = None,
     output_path: Optional[str] = None,
     kernel: str = "calendar",
-    stepping: str = "auto",
 ) -> PerfbenchResult:
     """Run the throughput benchmark.
 
@@ -1035,8 +1028,6 @@ def run_perfbench(
             (this is how ``BENCH_PR2.json`` is produced).
         kernel: event-queue implementation to benchmark ("calendar"
             or the oracle "heap").
-        stepping: chip-dispatch stepping mode (see
-            :class:`~repro.experiments.runner.ExperimentConfig`).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -1050,7 +1041,7 @@ def run_perfbench(
                 f"unknown workload {name!r}; choose from {known}"
             )
     config = ExperimentConfig(track_history=track_history,
-                              kernel=kernel, stepping=stepping)
+                              kernel=kernel)
     _, _, _, probe, _ = build_system(BENCH_FTL, config)
     span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
 
@@ -1087,7 +1078,6 @@ def run_perfbench(
         floor=floor,
         profile_path=profile_path,
         kernel=kernel,
-        stepping=stepping,
     )
     if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:

@@ -18,9 +18,9 @@ finally to parity reconstruction.  The controller charges latency per
 rung actually attempted.
 
 Determinism contract: one ``random.Random(seed)`` stream, consumed only
-on sampled (host) reads, in completion order — which both kernels and
-both stepping modes retire identically — so results are byte-identical
-across ``kernel``/``stepping`` choices and across process boundaries.
+on sampled (host) reads, in completion order — which both kernels
+retire identically — so results are byte-identical across ``kernel``
+choices and across process boundaries.
 The engine is default-off: nothing in this module runs unless a
 :class:`PhysicsEngine` is attached to the controller.
 """

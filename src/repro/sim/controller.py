@@ -42,11 +42,10 @@ class StorageController:
 
     #: Observability hooks (:mod:`repro.observability`): a tracer and a
     #: metrics registry, installed together by ``Tracer.install``.
-    #: Class-level None defaults keep untraced runs paying nothing on
-    #: hot paths and one ``is None`` check on the cold fault paths.
-    #: Tracing also replaces :meth:`_execute` with a traced copy (an
-    #: instance attribute), which is why the pump keeps ``_execute``
-    #: late-bound.
+    #: Class-level None defaults keep untraced runs paying one
+    #: ``is None`` check per op in :meth:`_execute` (where a tracer's
+    #: op ring is fed) and one on each cold fault path.  An ``OpLog``
+    #: alone plants a ring-only tracer here.
     _trace = None
     _metrics = None
 
@@ -57,9 +56,6 @@ class StorageController:
         ftl,  # BaseFtl; untyped to avoid a circular import
         write_buffer: WriteBuffer,
         stats: Optional[SimStats] = None,
-        *,
-        batching: bool = True,
-        vector_min: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.array = array
@@ -92,8 +88,7 @@ class StorageController:
         # FTL overrides it; bind the mapping method directly
         self._ftl_lookup = ftl.mapping.lookup
         #: ftl.next_op bound once (the ftl reference never changes and
-        #: next_op is never monkey-patched; _execute stays late-bound
-        #: because tracing *does* patch it)
+        #: next_op is never monkey-patched)
         self._ftl_next_op = ftl.next_op
         self._read_queues: List[Deque[Tuple[int, Request]]] = \
             [deque() for _ in range(chips)]
@@ -112,25 +107,6 @@ class StorageController:
         #: completion-event insertion, bound once (works for both the
         #: calendar and the heap kernel; see Simulator._push)
         self._sim_push = sim._push
-        #: batched stepping: the pump collects independent ready ops
-        #: from distinct idle chips and issues them as one flush (see
-        #: :meth:`_flush_batch`).  Byte-identical to one-at-a-time
-        #: dispatch — op production never reads another chip's issue
-        #: bookkeeping — and disabled automatically while ``_execute``
-        #: is patched (tracing, OpLog), since the batch path bypasses
-        #: the per-op wrapper.
-        self._batching = batching
-        self._batch: list = []
-        if vector_min is not None and vector_min < 2:
-            raise ValueError(
-                f"vector_min must be >= 2, got {vector_min}")
-        #: minimum batch size for the vectorized NAND program path
-        #: (None disables it; see NandArray.program_batch).  Arrays
-        #: without a batch entry point (e.g. the TLC model) keep the
-        #: per-op path.
-        self._array_program_batch = getattr(array, "program_batch", None)
-        self._vector_min = vector_min \
-            if self._array_program_batch is not None else None
         #: op currently executing per chip (power-loss tooling inspects it)
         self.in_flight: Dict[int, FlashOp] = {}
         #: fault injector consulted after every completed flash op, or
@@ -207,9 +183,9 @@ class StorageController:
     def _pump(self) -> None:
         """Drive admissions and chip dispatch to a fixed point.
 
-        The loop body open-codes :meth:`_dispatch` (minus its busy
-        guard, already checked here): this runs after every completed
-        flash operation and the extra call layers were measurable.
+        For each idle chip the priority order is: a queued host read,
+        then FTL work, then — only while no host I/O is outstanding —
+        background garbage collection.
         """
         if self._pumping:
             return
@@ -226,14 +202,6 @@ class StorageController:
             capacity = buffer.capacity
             # the clock cannot advance mid-pump: hoist it
             now = self.sim.now
-            # Batched stepping: collect (chip, op) pairs and issue them
-            # together.  The batch MUST flush before _next_read_op runs
-            # (its stale-entry scan can complete host requests, whose
-            # callbacks draw event seq numbers) so the kernel sees the
-            # exact unbatched event order.
-            batch = self._batch \
-                if self._batching and "_execute" not in self.__dict__ \
-                else None
             progress = True
             while progress:
                 progress = bool(admissions) \
@@ -243,8 +211,6 @@ class StorageController:
                 for chip_id in tuple(idle):
                     read_request: Optional[Request] = None
                     if read_queues[chip_id]:
-                        if batch:
-                            self._flush_batch(batch)
                         op, read_request = self._next_read_op(chip_id)
                     else:
                         op = None
@@ -258,14 +224,8 @@ class StorageController:
                         op = self.ftl.background_op(chip_id, now)
                     if op is None:
                         continue
-                    if batch is None or read_request is not None:
-                        self._execute(chip_id, op, read_request)
-                    else:
-                        batch.append(chip_id)
-                        batch.append(op)
+                    self._execute(chip_id, op, read_request)
                     progress = True
-                if batch:
-                    self._flush_batch(batch)
         finally:
             self._pumping = False
 
@@ -372,24 +332,6 @@ class StorageController:
                     request)
         return None, None
 
-    def _dispatch(self, chip_id: int) -> bool:
-        if self._busy[chip_id]:
-            return False
-        read_request: Optional[Request] = None
-        if self._read_queues[chip_id]:
-            op, read_request = self._next_read_op(chip_id)
-        else:
-            op = None
-        if op is None:
-            op = self.ftl.next_op(chip_id, self.sim.now)
-        if op is None and self.host_idle() \
-                and self.ftl.wants_background_gc(chip_id):
-            op = self.ftl.background_op(chip_id, self.sim.now)
-        if op is None:
-            return False
-        self._execute(chip_id, op, read_request)
-        return True
-
     def _execute(self, chip_id: int, op: FlashOp,
                  read_request: Optional[Request]) -> None:
         sim = self.sim
@@ -418,6 +360,22 @@ class StorageController:
         else:
             total = self._array_erase(op.addr.channel, op.addr.chip,
                                       op.addr.block)
+        done = now + total
+        trace = self._trace
+        if trace is not None:
+            # One flat record of eight scalars on the tracer's op ring
+            # (see repro.observability.tracer for the layout and why it
+            # holds no objects); past the ring limit, the amortised trim.
+            addr = op.addr
+            lpn = op.lpn
+            raw = trace._op_raw
+            raw.extend((now, done, chip_id,
+                        0 if kind is _PROGRAM else 1 if kind is _READ
+                        else 2,
+                        op.tag, addr[2], addr[3],
+                        -1 if lpn is None else lpn))
+            if len(raw) >= trace._op_limit:
+                trace._trim()
         self._busy[chip_id] = True
         idle = self._idle
         del idle[bisect_left(idle, chip_id)]
@@ -429,89 +387,8 @@ class StorageController:
         # and they compare identically.  ``_sim_push`` is the kernel's
         # queue insertion, bound once at construction.
         self._sim_push(
-            [now + total, 0, next(sim._seq), self._on_op_done,
+            [done, 0, next(sim._seq), self._on_op_done,
              (chip_id, op, read_request), False, sim._cancelled])
-
-    def _flush_batch(self, batch: list) -> None:
-        """Issue the collected ``[chip, op, chip, op, ...]`` pairs.
-
-        Semantically ``for chip, op in pairs: self._execute(chip, op,
-        None)`` — keep the timing arithmetic and bookkeeping in sync
-        with :meth:`_execute`.  The batch shape lets the NAND state
-        mutations be hoisted into one vectorized
-        :meth:`~repro.nand.array.NandArray.program_batch` call when
-        every op is a program: latencies depend only on page type and
-        channel timing only on issue order, so hoisting the array
-        mutations ahead of the per-op timing loop is invisible.
-        """
-        n = len(batch)
-        if n == 2:
-            chip_id = batch[0]
-            op = batch[1]
-            del batch[:]
-            self._execute(chip_id, op, None)
-            return
-        latencies = None
-        vector_min = self._vector_min
-        if vector_min is not None and n >= 2 * vector_min:
-            all_programs = True
-            for i in range(1, n, 2):
-                if batch[i].kind is not _PROGRAM:
-                    all_programs = False
-                    break
-            if all_programs:
-                latencies = self._array_program_batch(
-                    [batch[i].addr for i in range(1, n, 2)],
-                    [batch[i].data for i in range(1, n, 2)])
-        sim = self.sim
-        now = sim.now
-        chips_per_channel = self._chips_per_channel
-        channel_free = self._channel_free
-        t_transfer = self._t_transfer
-        busy = self._busy
-        idle = self._idle
-        in_flight = self.in_flight
-        sim_push = self._sim_push
-        seq = sim._seq
-        cancelled = sim._cancelled
-        on_op_done = self._on_op_done
-        array_program = self._array_program
-        array_read = self._array_read
-        array_erase = self._array_erase
-        j = 0
-        for i in range(0, n, 2):
-            chip_id = batch[i]
-            op = batch[i + 1]
-            kind = op.kind
-            if kind is _PROGRAM:
-                channel = chip_id // chips_per_channel
-                start = channel_free[channel]
-                if start < now:
-                    start = now
-                channel_free[channel] = start + t_transfer
-                if latencies is None:
-                    latency = array_program(op.addr, op.data)
-                else:
-                    latency = latencies[j]
-                    j += 1
-                total = (start - now) + t_transfer + latency
-            elif kind is _READ:
-                channel = chip_id // chips_per_channel
-                start = channel_free[channel]
-                if start < now:
-                    start = now
-                channel_free[channel] = start + t_transfer
-                _, latency = array_read(op.addr)
-                total = (start - now) + t_transfer + latency
-            else:
-                total = array_erase(op.addr.channel, op.addr.chip,
-                                    op.addr.block)
-            busy[chip_id] = True
-            del idle[bisect_left(idle, chip_id)]
-            in_flight[chip_id] = op
-            sim_push([now + total, 0, next(seq), on_op_done,
-                      (chip_id, op, None), False, cancelled])
-        del batch[:]
 
     def _on_op_done(self, chip_id: int, op: FlashOp,
                     read_request: Optional[Request]) -> None:
@@ -546,55 +423,7 @@ class StorageController:
             op.on_complete(self.sim.now)
         if read_request is not None:
             self._complete_read_page(read_request)
-        # _pump(), open-coded (this is the kernel's only callback in
-        # steady state and the extra frame was measurable).  Keep the
-        # body in sync with :meth:`_pump`.
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            idle = self._idle
-            read_queues = self._read_queues
-            ftl_next_op = self._ftl_next_op
-            admissions = self._admissions
-            buffer = self.write_buffer
-            capacity = buffer.capacity
-            now = self.sim.now
-            batch = self._batch \
-                if self._batching and "_execute" not in self.__dict__ \
-                else None
-            progress = True
-            while progress:
-                progress = bool(admissions) \
-                    and buffer._live < capacity \
-                    and self._drain_admissions()
-                for cid in tuple(idle):
-                    rreq: Optional[Request] = None
-                    if read_queues[cid]:
-                        if batch:
-                            self._flush_batch(batch)
-                        next_op, rreq = self._next_read_op(cid)
-                    else:
-                        next_op = None
-                    if next_op is None:
-                        next_op = ftl_next_op(cid, now)
-                    if next_op is None \
-                            and not (admissions or self._queued_reads
-                                     or buffer._live) \
-                            and self.ftl.wants_background_gc(cid):
-                        next_op = self.ftl.background_op(cid, now)
-                    if next_op is None:
-                        continue
-                    if batch is None or rreq is not None:
-                        self._execute(cid, next_op, rreq)
-                    else:
-                        batch.append(cid)
-                        batch.append(next_op)
-                    progress = True
-                if batch:
-                    self._flush_batch(batch)
-        finally:
-            self._pumping = False
+        self._pump()
 
     def _complete_read_page(self, request: Request) -> None:
         request.pages_remaining -= 1
@@ -889,7 +718,6 @@ class StorageController:
             queue.clear()
         self._queued_reads = 0
         self.in_flight.clear()
-        del self._batch[:]  # always empty outside a pump; belt-and-braces
         chips = self._total_chips
         self._busy = [False] * chips
         self._idle = list(range(chips))

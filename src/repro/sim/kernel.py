@@ -210,9 +210,9 @@ class Simulator:
     def _push(self, entry: list) -> None:
         """Insert one queue entry.
 
-        Kernel-internal, but the controller's hot dispatch path and
-        the tracer's traced copy call it directly with a plain-list
-        entry (an :class:`Event` without the handle subclass).
+        Kernel-internal, but the controller's hot dispatch path calls
+        it directly with a plain-list entry (an :class:`Event` without
+        the handle subclass).
         """
         key = int(entry[0] * self._inv_width)
         if key > self._active_key:

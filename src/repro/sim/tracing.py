@@ -18,8 +18,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterator, List, Optional
 
+from repro.observability.events import OP_KIND_NAMES
+from repro.observability.tracer import Tracer
 from repro.sim.controller import StorageController
-from repro.sim.ops import FlashOp, OpKind
+from repro.sim.ops import OpKind
+
+#: op-ring kind code -> OpKind (the ring stores the code)
+_KINDS = tuple(OpKind(name) for name in OP_KIND_NAMES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,54 +43,83 @@ class OpRecord:
 
 
 class OpLog:
-    """An append-only log of executed operations.
+    """A view over the op ring a controller's ``_execute`` feeds.
 
-    Attach with :meth:`attach`; it wraps the controller's internal
-    ``_execute`` so every dispatched operation is recorded at its
-    issue time.
+    Attach with :meth:`attach`.  The ring belongs to the controller's
+    :class:`~repro.observability.tracer.Tracer`: an OpLog attached to a
+    traced controller shares the installed tracer's ring (and records
+    while that tracer stays installed); otherwise it arms a ring-only
+    tracer, which a later ``Tracer.install`` takes over without the
+    log missing an op.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.records: List[OpRecord] = []
-        self.dropped = 0
+        #: the ring viewed; an unattached log views an empty one
+        self._ring = Tracer(capacity)  # validates capacity
+        self._controller: Optional[StorageController] = None
+        self._chips_per_channel = 1
 
     @classmethod
     def attach(cls, controller: StorageController,
                capacity: Optional[int] = None) -> "OpLog":
-        """Create a log and hook it into ``controller``."""
+        """Create a log over ``controller``'s op ring.
+
+        Raises :class:`RuntimeError` when the controller already
+        records into a ring of a different capacity.
+        """
         log = cls(capacity)
-        original = controller._execute
-
-        def traced(chip_id: int, op: FlashOp, read_request) -> None:
-            log.record(controller.sim.now, chip_id, op)
-            original(chip_id, op, read_request)
-
-        controller._execute = traced  # type: ignore[method-assign]
+        ring = controller._trace
+        if ring is None:
+            # ring-only: no hooks, metrics or GC tuning (cold events a
+            # fault path emits are kept on the tracer, unused)
+            ring = log._ring
+            ring._sim = controller.sim
+            controller._trace = ring
+        elif ring.capacity != capacity:
+            raise RuntimeError(
+                f"the controller already records into a ring of "
+                f"capacity {ring.capacity}, not {capacity}")
+        log._ring = ring
+        log._controller = controller
+        log._chips_per_channel = controller.geometry.chips_per_channel
         return log
 
-    def record(self, time: float, chip_id: int, op: FlashOp) -> None:
-        """Append one operation (oldest entries drop at capacity)."""
-        if self.capacity is not None \
-                and len(self.records) >= self.capacity:
-            self.records.pop(0)
-            self.dropped += 1
-        self.records.append(OpRecord(
-            time=time,
-            chip_id=chip_id,
-            kind=op.kind,
-            tag=op.tag,
-            channel=op.addr.channel,
-            chip=op.addr.chip,
-            block=op.addr.block,
-            page=op.addr.page,
-            lpn=op.lpn,
-        ))
+    def _owner(self) -> Tracer:
+        """The tracer trimming the ring now: a tracer installed over
+        this log's ring-only one shares its list and takes over."""
+        ring = self._ring
+        controller = self._controller
+        if controller is not None and controller._trace is not None \
+                and controller._trace._op_raw is ring._op_raw:
+            return controller._trace
+        return ring
+
+    @property
+    def records(self) -> List[OpRecord]:
+        """The retained operations, oldest first."""
+        owner = self._owner()
+        owner._trim()
+        raw = owner._op_raw
+        cpc = self._chips_per_channel
+        return [
+            OpRecord(time=raw[i], chip_id=raw[i + 2],
+                     kind=_KINDS[raw[i + 3]], tag=raw[i + 4],
+                     channel=raw[i + 2] // cpc, chip=raw[i + 2] % cpc,
+                     block=raw[i + 5], page=raw[i + 6],
+                     lpn=None if raw[i + 7] < 0 else raw[i + 7])
+            for i in range(0, len(raw), 8)
+        ]
+
+    @property
+    def dropped(self) -> int:
+        """Operations trimmed from the ring at capacity."""
+        owner = self._owner()
+        owner._trim()
+        return owner.dropped_ops
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._owner().op_count
 
     def __iter__(self) -> Iterator[OpRecord]:
         return iter(self.records)

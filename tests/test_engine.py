@@ -91,6 +91,15 @@ class TestRoundTrips:
         assert clone == config
         assert clone.geometry == config.geometry
 
+    def test_legacy_config_with_dispatch_mode_still_loads(self):
+        """Configs and cached results written while the controller had
+        a selectable chip-dispatch mode carry a ``stepping`` key; it
+        never changed an outcome, so loading ignores it."""
+        legacy = dict(TEST_CONFIG.to_dict(), stepping="vector")
+        clone = ExperimentConfig.from_dict(json.loads(json.dumps(legacy)))
+        assert clone == TEST_CONFIG
+        assert "stepping" not in clone.to_dict()
+
     def test_run_result_round_trip(self):
         streams = _small_streams()
         result = run_workload(ftl_name="pageFTL", streams=streams,

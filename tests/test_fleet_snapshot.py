@@ -4,7 +4,7 @@ The fleet's backbone claim is byte-identity: a run checkpointed at an
 arbitrary event boundary and resumed produces exactly the same
 SimStats, FTL counters and clock as the run that never stopped.  These
 tests assert it per kernel (calendar and heap), per FTL (pageFTL and
-flexFTL), for vector stepping, for a QoS-fronted device, and for a
+flexFTL), for a QoS-fronted device, and for a
 snapshot taken *between* the multi-cut power losses of the PR-4
 machinery.
 """
@@ -34,12 +34,12 @@ GEOMETRY = NandGeometry(channels=2, chips_per_channel=1,
                         page_size=4096)
 
 
-def config_for(kernel="calendar", stepping="auto"):
+def config_for(kernel="calendar"):
     return ExperimentConfig(geometry=GEOMETRY, track_history=False,
-                            kernel=kernel, stepping=stepping)
+                            kernel=kernel)
 
 
-def spec_for(kernel="calendar", stepping="auto", ftl="flexFTL",
+def spec_for(kernel="calendar", ftl="flexFTL",
              tenants=0, device_id=0, ops=240, seed=11):
     scenario = make_preset("oltp", footprint=96, total_ops=ops,
                            seed=seed)
@@ -57,7 +57,7 @@ def spec_for(kernel="calendar", stepping="auto", ftl="flexFTL",
         device_id=device_id,
         ftl_name=ftl,
         scenario=spec,
-        config=config_for(kernel, stepping),
+        config=config_for(kernel),
         arbiter="wrr" if tenants else None,
     )
 
@@ -71,6 +71,21 @@ def surface(run):
          "events": run.sim.processed,
          "erases": run.array.total_erases},
         sort_keys=True)
+
+
+def rewrite_header(path, **fields):
+    """Overwrite header fields of a snapshot file in place."""
+    import struct
+    blob = path.read_bytes()
+    magic_len = 8
+    (hlen,) = struct.unpack(">I", blob[magic_len:magic_len + 4])
+    header = json.loads(blob[magic_len + 4:magic_len + 4 + hlen])
+    header.update(fields)
+    hbytes = json.dumps(header, sort_keys=True,
+                        separators=(",", ":")).encode()
+    path.write_bytes(blob[:magic_len]
+                     + struct.pack(">I", len(hbytes)) + hbytes
+                     + blob[magic_len + 4 + hlen:])
 
 
 class TestDeviceRoundTrip:
@@ -111,24 +126,6 @@ class TestDeviceRoundTrip:
         resumed.run_to_completion()
         assert surface(resumed) == surface(run)
 
-    def test_vector_stepping_roundtrip(self, tmp_path):
-        spec = spec_for(stepping="vector")
-        oracle = DeviceRun.build(spec)
-        oracle.run_to_completion()
-
-        run = DeviceRun.build(spec)
-        run.advance(600)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        resumed = DeviceRun.load(path, expect_config=spec.config)
-        # The unified store (numpy view + memoryview slices) must be
-        # re-established, aliasing intact.
-        assert resumed.array._np_states is not None
-        blk = resumed.array.chips[0].blocks[0]
-        assert type(blk._states) is not bytearray
-        resumed.run_to_completion()
-        assert surface(resumed) == surface(oracle)
-
     def test_qos_device_roundtrip(self, tmp_path):
         spec = spec_for(tenants=2, ops=200)
         oracle = DeviceRun.build(spec)
@@ -158,27 +155,6 @@ class TestHeaderValidation:
                            match="calendar.*heap|heap.*calendar"):
             DeviceRun.load(path,
                            expect_config=config_for(kernel="heap"))
-
-    def test_stepping_mismatch_refused(self, tmp_path):
-        spec = spec_for(stepping="batch")
-        run = DeviceRun.build(spec)
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        with pytest.raises(SnapshotMismatchError, match="stepping"):
-            DeviceRun.load(path,
-                           expect_config=config_for(stepping="event"))
-
-    def test_auto_and_event_stepping_compatible(self, tmp_path):
-        """'auto' resolves to event stepping; the two spellings must
-        resume each other."""
-        run = DeviceRun.build(spec_for(stepping="auto"))
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        header = run.save(path)
-        assert header["stepping"] == "event"
-        DeviceRun.load(path,
-                       expect_config=config_for(stepping="event"))
 
     def test_header_readable_without_payload(self, tmp_path):
         run = DeviceRun.build(spec_for())
@@ -216,23 +192,34 @@ class TestHeaderValidation:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot_header(path)
 
+    def test_format_1_refused_before_unpickling(self, tmp_path):
+        """Format-1 payloads reference controller internals that no
+        longer exist; the header check refuses them with the typed
+        format error, before the unpickler runs."""
+        run = DeviceRun.build(spec_for())
+        run.advance(200)
+        path = tmp_path / "dev.snap"
+        run.save(path)
+        rewrite_header(path, format_version=1, stepping="event")
+        with pytest.raises(SnapshotFormatError,
+                           match="uses snapshot format 1; this build "
+                                 "reads format 2"):
+            DeviceRun.load(path)
+        with pytest.raises(SnapshotFormatError, match="format 1"):
+            read_snapshot_header(path)
+
+    def test_header_needs_only_kernel(self, tmp_path):
+        path = tmp_path / "kernel-only.snap"
+        header = write_snapshot(path, {"x": 1}, {"kernel": "heap"})
+        assert "stepping" not in header
+        with pytest.raises(ValueError, match="kernel"):
+            write_snapshot(path, {"x": 1}, {})
+
     def test_version_skew_warns(self, tmp_path):
         path = tmp_path / "skew.snap"
         write_snapshot(path, {"x": 1},
-                       {"kernel": "calendar", "stepping": "event"})
-        blob = path.read_bytes()
-        # Rewrite the header with a foreign package version.
-        import struct
-        magic_len = 8
-        (hlen,) = struct.unpack(">I",
-                                blob[magic_len:magic_len + 4])
-        header = json.loads(blob[magic_len + 4:magic_len + 4 + hlen])
-        header["package_version"] = "0.0.0-elsewhere"
-        hbytes = json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode()
-        path.write_bytes(blob[:magic_len]
-                         + struct.pack(">I", len(hbytes)) + hbytes
-                         + blob[magic_len + 4 + hlen:])
+                       {"kernel": "calendar"})
+        rewrite_header(path, package_version="0.0.0-elsewhere")
         with pytest.warns(UserWarning, match="0.0.0-elsewhere"):
             read_snapshot(path)
 
@@ -299,7 +286,7 @@ class TestSnapshotBetweenPowerCuts:
         write_snapshot(
             path,
             {"state": state, "recovered": 1},
-            {"kernel": "calendar", "stepping": "event"})
+            {"kernel": "calendar"})
 
         _header, payload = read_snapshot(path,
                                          expect_kernel="calendar")

@@ -391,7 +391,7 @@ class TestSnapshotDurability:
                             lambda fd: (synced.append(fd),
                                         real_fsync(fd))[1])
         write_snapshot(tmp_path / "x.snap", {"v": 1},
-                       {"kernel": "calendar", "stepping": "event"})
+                       {"kernel": "calendar"})
         # At least the payload fd plus the directory fd (twice: once
         # before the rename makes it visible, once after).
         assert len(synced) >= 3

@@ -6,7 +6,7 @@ from repro.core.rps import fps_order, rps_full_order
 from repro.nand.array import NandArray
 from repro.nand.chip import Chip
 from repro.nand.errors import ProgramSequenceError
-from repro.nand.geometry import NandGeometry, PhysicalPageAddress
+from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.page_types import PageType, split_index
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
@@ -131,125 +131,3 @@ class TestArray:
         other = array.chips[tiny_geometry.chip_id(0, 0)]
         assert owning.total_programs == 1
         assert other.total_programs == 0
-
-
-class TestProgramBatch:
-    """The unified state store and the vectorized batch-program path.
-
-    ``program_batch`` must be observably identical to the sequential
-    ``[program(a, d) for ...]`` loop in every case — the vector fast
-    path only engages when it can prove that, and otherwise falls
-    back (including for its error semantics).
-    """
-
-    GEOMETRY = NandGeometry(channels=2, chips_per_channel=2,
-                            blocks_per_chip=4, pages_per_block=8,
-                            page_size=256)
-
-    def make_pair(self, **kwargs):
-        """Two identical arrays: one unified (vector-capable), one not."""
-        vec = NandArray(self.GEOMETRY, scheme=SequenceScheme.RPS,
-                        **kwargs)
-        seq = NandArray(self.GEOMETRY, scheme=SequenceScheme.RPS,
-                        **kwargs)
-        assert vec.unify_state_store() is True
-        return vec, seq
-
-    @staticmethod
-    def snapshot(array):
-        return [
-            (bytes(blk._states), blk._used, chip.lsb_programs,
-             chip.msb_programs, chip.busy_time)
-            for chip in array.chips for blk in chip.blocks
-        ]
-
-    def test_unify_is_idempotent_and_preserves_state(self):
-        array = NandArray(self.GEOMETRY, scheme=SequenceScheme.RPS)
-        addr = PhysicalPageAddress(0, 1, 2, 0)
-        array.program(addr)
-        assert array.unify_state_store() is True
-        assert array.unify_state_store() is True
-        assert array.is_programmed(addr)
-        # Erase zeroes in place so the flat store stays aliased.
-        array.erase(0, 1, 2)
-        assert not array.is_programmed(addr)
-        assert not array._np_states.any()
-        array.program(addr)
-        assert array._np_states.sum() == 1
-
-    def test_vector_batch_matches_sequential(self):
-        vec, seq = self.make_pair()
-        # One LSB program per chip: all four lanes vectorize.
-        batch = [PhysicalPageAddress(ch, c, 1, 0)
-                 for ch in range(2) for c in range(2)]
-        lat_vec = vec.program_batch(batch)
-        lat_seq = [seq.program(a) for a in batch]
-        assert lat_vec == lat_seq
-        assert self.snapshot(vec) == self.snapshot(seq)
-
-    def test_vector_msb_batch_matches_sequential(self):
-        vec, seq = self.make_pair()
-        chips = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for page in (0, 2):  # RPS prerequisites for MSB page 1
-            vec.program_batch([PhysicalPageAddress(ch, c, 0, page)
-                               for ch, c in chips])
-            for ch, c in chips:
-                seq.program(PhysicalPageAddress(ch, c, 0, page))
-        msb = [PhysicalPageAddress(ch, c, 0, 1) for ch, c in chips]
-        assert vec.program_batch(msb) == [seq.program(a) for a in msb]
-        assert self.snapshot(vec) == self.snapshot(seq)
-
-    def test_shared_chip_batch_falls_back_sequential(self):
-        vec, seq = self.make_pair()
-        # Both ops on one chip, the second legal only after the first:
-        # the vector path must refuse and the fallback apply in order.
-        batch = [PhysicalPageAddress(0, 0, 0, 0),
-                 PhysicalPageAddress(0, 0, 0, 2)]
-        vec.program_batch(batch)
-        for a in batch:
-            seq.program(a)
-        assert self.snapshot(vec) == self.snapshot(seq)
-
-    def test_illegal_op_raises_after_earlier_ops_apply(self):
-        vec, _ = self.make_pair()
-        batch = [PhysicalPageAddress(0, 0, 0, 0),    # legal LSB
-                 PhysicalPageAddress(1, 0, 0, 1)]    # MSB before LSB
-        with pytest.raises(ProgramSequenceError):
-            vec.program_batch(batch)
-        # Sequential error semantics: the first op landed.
-        assert vec.is_programmed(batch[0])
-        assert not vec.is_programmed(batch[1])
-
-    def test_non_erased_target_raises(self):
-        from repro.nand.errors import PageStateError
-
-        vec, _ = self.make_pair()
-        addr = PhysicalPageAddress(0, 0, 0, 0)
-        vec.program(addr)
-        with pytest.raises(PageStateError):
-            vec.program_batch([addr, PhysicalPageAddress(1, 0, 0, 0)])
-
-    def test_out_of_range_address_raises(self):
-        from repro.nand.errors import AddressError
-
-        vec, _ = self.make_pair()
-        with pytest.raises(AddressError):
-            vec.program_batch([PhysicalPageAddress(0, 0, 0, 0),
-                               PhysicalPageAddress(0, 9, 0, 0)])
-
-    def test_batch_stores_payloads(self):
-        vec, _ = self.make_pair(store_data=True)
-        batch = [PhysicalPageAddress(0, 0, 0, 0),
-                 PhysicalPageAddress(1, 1, 0, 0)]
-        vec.program_batch(batch, [b"a", b"b"])
-        assert vec.read(batch[0])[0] == b"a"
-        assert vec.read(batch[1])[0] == b"b"
-
-    def test_batch_without_unified_store_matches_sequential(self):
-        plain = NandArray(self.GEOMETRY, scheme=SequenceScheme.RPS)
-        twin = NandArray(self.GEOMETRY, scheme=SequenceScheme.RPS)
-        batch = [PhysicalPageAddress(0, 0, 0, 0),
-                 PhysicalPageAddress(1, 1, 0, 0)]
-        assert plain.program_batch(batch) == [twin.program(a)
-                                              for a in batch]
-        assert (self.snapshot(plain) == self.snapshot(twin))

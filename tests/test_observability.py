@@ -3,9 +3,9 @@ buffer, install/detach hygiene, metrics wiring, and sinks.
 
 The load-bearing property is **determinism**: a traced run must
 produce byte-identical simulation results to an untraced one, because
-every capture site is either a verbatim copy of the hot path plus a
-scalar append, or a cold-path emission that never touches simulation
-state.  Everything else (ring, JSONL, summary reconciliation) builds
+every capture site is either a scalar append behind one ``is not None``
+check on the single op-issue path, or a cold-path emission that never
+touches simulation state.  Everything else (ring, JSONL, summary reconciliation) builds
 on that.
 """
 
@@ -89,7 +89,6 @@ class TestDeterminism:
         tracer = Tracer(enabled=False)
         system = run_system(FlexFtl, tracer=tracer)
         _, _, _, ftl, controller = system
-        assert "_execute" not in controller.__dict__
         assert "_after_host_program" not in ftl.__dict__
         assert controller._trace is None and ftl._trace is None
         assert tracer.op_count == 0 and tracer.alloc_count == 0
@@ -102,10 +101,9 @@ class TestInstallDetach:
             FlexFtl, GEOMETRY)
         thresholds = gc.get_threshold()
         tracer = Tracer().install(controller)
-        assert "_execute" in controller.__dict__
+        assert controller._trace is tracer and ftl._trace is tracer
         assert gc.get_threshold() != thresholds
         tracer.detach()
-        assert "_execute" not in controller.__dict__
         assert "_after_host_program" not in ftl.__dict__
         assert controller._trace is None and ftl._trace is None
         assert controller._metrics is None and ftl._metrics is None
@@ -116,11 +114,11 @@ class TestInstallDetach:
         sim, _, _, ftl, controller = build_small_system(
             FlexFtl, GEOMETRY)
         sentinel = lambda *args: None  # noqa: E731
-        controller._execute = sentinel
+        ftl._after_host_program = sentinel
         tracer = Tracer().install(controller)
-        assert controller.__dict__["_execute"] is not sentinel
+        assert ftl.__dict__["_after_host_program"] is not sentinel
         tracer.detach()
-        assert controller.__dict__["_execute"] is sentinel
+        assert ftl.__dict__["_after_host_program"] is sentinel
 
     def test_double_install_rejected(self):
         _, _, _, _, controller = build_small_system(FlexFtl, GEOMETRY)
@@ -128,6 +126,14 @@ class TestInstallDetach:
         with pytest.raises(RuntimeError):
             tracer.install(controller)
         tracer.detach()
+
+    def test_second_tracer_on_one_controller_rejected(self):
+        _, _, _, _, controller = build_small_system(FlexFtl, GEOMETRY)
+        first = Tracer().install(controller)
+        with pytest.raises(RuntimeError, match="already has a tracer"):
+            Tracer().install(controller)
+        assert controller._trace is first
+        first.detach()
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -41,17 +41,11 @@ def test_history_opt_out_is_outcome_invariant():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel,stepping", [
-    ("heap", "event"),
-    ("calendar", "event"),
-    ("calendar", "batch"),
-    ("calendar", "vector"),
-    ("heap", "vector"),
-])
-def test_kernel_and_stepping_modes_match_golden(kernel, stepping):
-    """Every kernel x stepping combination reproduces the pre-calendar
-    golden byte for byte — the PR-7 equivalence contract."""
-    config = ExperimentConfig(kernel=kernel, stepping=stepping)
+@pytest.mark.parametrize("kernel", ["heap", "calendar"])
+def test_kernel_modes_match_golden(kernel):
+    """Both event-queue kernels reproduce the pre-calendar golden byte
+    for byte — the PR-7 equivalence contract."""
+    config = ExperimentConfig(kernel=kernel)
     assert _fig8_json(config=config) == GOLDEN.read_text()
 
 
@@ -59,8 +53,8 @@ def test_kernel_and_stepping_modes_match_golden(kernel, stepping):
 @pytest.mark.parametrize("multiplier", [1, 4, 16])
 def test_sweep_geometries_kernel_equivalence(multiplier):
     """Calendar and heap kernels produce identical results at every
-    ``--scale-sweep`` geometry (8, 32 and 128 chips) in every
-    stepping mode.  A small fixed footprint keeps the 128-chip run
+    ``--scale-sweep`` geometry (8, 32 and 128 chips).  A small fixed
+    footprint keeps the 128-chip run
     test-suite-sized; the full-span version is the CI sweep job."""
     from repro.experiments.runner import run_workload
     from repro.perfbench.harness import sweep_geometry
@@ -69,12 +63,11 @@ def test_sweep_geometries_kernel_equivalence(multiplier):
     geometry = sweep_geometry(multiplier)
     scenario = make_preset("oltp", 1500, 600, seed=7)
     results = []
-    for kernel, stepping in (("heap", "event"), ("calendar", "event"),
-                             ("calendar", "vector")):
+    for kernel in ("heap", "calendar"):
         config = ExperimentConfig(geometry=geometry,
                                   track_history=False,
-                                  kernel=kernel, stepping=stepping)
+                                  kernel=kernel)
         result = run_workload(ftl_name="flexFTL", scenario=scenario,
                               config=config)
         results.append(json.dumps(result.to_dict(), sort_keys=True))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]

@@ -153,7 +153,6 @@ class TestScaleSweep:
             assert point.speedup() > 0
         payload = result.to_dict()
         assert payload["kernel"] == "calendar"
-        assert payload["stepping"] == "auto"
         assert [p["multiplier"] for p in payload["points"]] == [1, 4]
         assert json.loads(out.read_text()) == json.loads(
             json.dumps(payload))
@@ -191,10 +190,9 @@ class TestScaleSweep:
     def test_cli_kernel_flag_reaches_result(self, capsys):
         assert main(["perfbench", "--scale", "0.01",
                      "--workloads", "fig8_write", "--kernel", "heap",
-                     "--stepping", "event", "--json"]) == 0
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kernel"] == "heap"
-        assert payload["stepping"] == "event"
 
 
 class TestCommittedBenchGuards:

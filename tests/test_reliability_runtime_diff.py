@@ -13,10 +13,9 @@ incremental bookkeeping drifted from the recorded truth.
 
 Also here:
 
-* cross-kernel/stepping determinism — an armed physics run serializes
-  byte-identically under the calendar and heap kernels and the event
-  and vector stepping modes (the engine's RNG is consumed in
-  completion order, which all four retire identically);
+* cross-kernel determinism — an armed physics run serializes
+  byte-identically under the calendar and heap kernels (the engine's
+  RNG is consumed in completion order, which both retire identically);
 * Monte-Carlo convergence — the closed form the runtime samples from
   agrees with the mean of many seeded Monte-Carlo page draws, at the
   unshifted references and at a retry-ladder shift.
@@ -190,9 +189,9 @@ def test_live_run_aggressors_match_recorded_histories():
     assert blocks_checked > 0
 
 
-def _physics_run(kernel, stepping):
+def _physics_run(kernel):
     config = ExperimentConfig(geometry=GEOMETRY, track_history=True,
-                              kernel=kernel, stepping=stepping)
+                              kernel=kernel)
     span = experiment_span(config, utilization=0.6, ftls=["flexFTL"])
     scenario = make_preset("hot_rewrite", span, 400, seed=11)
     physics = PhysicsConfig(seed=5, pe_baseline=6000,
@@ -202,13 +201,11 @@ def _physics_run(kernel, stepping):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def test_physics_run_identical_across_kernels_and_stepping():
-    """One armed run, serialized byte-identically under every kernel
-    and stepping combination (the determinism contract: the RNG stream
-    is consumed in completion order, which all modes retire alike)."""
-    reference = _physics_run("calendar", "event")
-    assert _physics_run("heap", "event") == reference
-    assert _physics_run("calendar", "vector") == reference
+def test_physics_run_identical_across_kernels():
+    """One armed run, serialized byte-identically under both kernels
+    (the determinism contract: the RNG stream is consumed in
+    completion order, which both kernels retire alike)."""
+    assert _physics_run("heap") == _physics_run("calendar")
 
 
 def test_physics_result_roundtrip():

@@ -234,36 +234,3 @@ class TestClosedLoopHost:
         run_closed_loop(sim, controller, [ops])
         assert len(completions) == len(ops)
         assert len(set(map(id, completions))) == len(ops)
-
-
-class TestSteppingConfig:
-    def test_vector_min_below_two_rejected(self, small_geometry):
-        from repro.sim.controller import StorageController
-
-        sim, array, buffer, ftl, controller = build_small_system(
-            PageFtl, small_geometry)
-        with pytest.raises(ValueError, match="vector_min"):
-            StorageController(sim, array, ftl, buffer, controller.stats,
-                              vector_min=1)
-
-    def test_batching_off_still_completes_requests(self, small_geometry):
-        from repro.ftl.base import FtlConfig
-        from repro.nand.array import NandArray
-        from repro.nand.sequence import SequenceScheme
-        from repro.sim.controller import StorageController
-        from repro.sim.kernel import Simulator
-        from repro.sim.queues import WriteBuffer
-        from repro.sim.stats import SimStats
-
-        sim = Simulator()
-        array = NandArray(small_geometry, NandTiming(),
-                          scheme=SequenceScheme.FPS)
-        buffer = WriteBuffer(32)
-        ftl = PageFtl(array, buffer, FtlConfig())
-        stats = SimStats(page_size=small_geometry.page_size)
-        controller = StorageController(sim, array, ftl, buffer, stats,
-                                       batching=False)
-        request = Request(0.0, RequestKind.WRITE, 0, 4)
-        controller.submit(request)
-        sim.run()
-        assert controller.stats.completed_writes == 1

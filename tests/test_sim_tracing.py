@@ -5,6 +5,7 @@ import pytest
 from repro.core.flexftl import FlexFtl
 from repro.ftl.parityftl import ParityFtl
 from repro.ftl.pageftl import PageFtl
+from repro.observability.tracer import Tracer
 from repro.sim.host import ClosedLoopHost, StreamOp
 from repro.sim.ops import OpKind
 from repro.sim.queues import Request, RequestKind
@@ -63,6 +64,71 @@ class TestOpLogBasics:
         for chip_id in range(small_geometry.total_chips):
             times = [r.time for r in log.filter(chip_id=chip_id)]
             assert times == sorted(times)
+
+
+class TestRecordersShareOneRing:
+    """An OpLog and a Tracer on one controller both see every op."""
+
+    WRITES = [StreamOp(RequestKind.WRITE, i, 1) for i in range(20)]
+
+    @staticmethod
+    def programs(tracer):
+        return [e for e in tracer.events()
+                if e.kind == "op.issue" and e.fields["kind"] == "program"]
+
+    def test_oplog_then_tracer(self, small_geometry):
+        system = build_small_system(PageFtl, small_geometry)
+        controller = system[4]
+        log = OpLog.attach(controller)
+        tracer = Tracer().install(controller)
+        run_stream(system, self.WRITES)
+        assert len(log.filter(kind=OpKind.PROGRAM)) == 20
+        assert len(self.programs(tracer)) == 20
+        tracer.detach()
+        # the log keeps its ring after the tracer leaves
+        assert controller._trace is log._ring
+        run_stream(system, [StreamOp(RequestKind.WRITE, 100, 1)])
+        assert len(log.filter(kind=OpKind.PROGRAM)) == 21
+        assert len(self.programs(tracer)) == 20
+
+    def test_tracer_then_oplog(self, small_geometry):
+        system = build_small_system(PageFtl, small_geometry)
+        controller = system[4]
+        tracer = Tracer().install(controller)
+        log = OpLog.attach(controller)
+        run_stream(system, self.WRITES)
+        assert len(log.filter(kind=OpKind.PROGRAM)) == 20
+        assert len(self.programs(tracer)) == 20
+        tracer.detach()
+
+    def test_two_oplogs_share_the_ring(self, small_geometry):
+        system = build_small_system(PageFtl, small_geometry)
+        controller = system[4]
+        first = OpLog.attach(controller)
+        second = OpLog.attach(controller)
+        run_stream(system, self.WRITES)
+        assert first.records == second.records
+        assert len(first.filter(kind=OpKind.PROGRAM)) == 20
+
+    def test_capacity_mismatch_raises(self, small_geometry):
+        system = build_small_system(PageFtl, small_geometry)
+        controller = system[4]
+        OpLog.attach(controller)
+        with pytest.raises(RuntimeError, match="capacity"):
+            OpLog.attach(controller, capacity=5)
+        with pytest.raises(RuntimeError, match="capacity"):
+            Tracer(capacity=5).install(controller)
+
+    def test_shared_ring_counts_drops_once(self, small_geometry):
+        system = build_small_system(PageFtl, small_geometry)
+        controller = system[4]
+        log = OpLog.attach(controller, capacity=5)
+        tracer = Tracer(capacity=5).install(controller)
+        run_stream(system, self.WRITES)
+        assert len(log) == 5 and log.dropped == 15
+        assert tracer.op_count == 5 and tracer.dropped_ops == 15
+        tracer.detach()
+        assert len(log) == 5 and log.dropped == 15
 
 
 class TestSchedulingProperties:
