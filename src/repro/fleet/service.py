@@ -43,6 +43,7 @@ from repro.fleet.worker import DEFAULT_QUANTUM, ShardTask, run_shard
 from repro.nand.geometry import NandGeometry
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.presets import make_preset
+from repro.sim._native import active_core
 
 #: Default per-device geometry for fleet serving: 2 channels x 1 chip,
 #: 16 blocks of 16 pages — small enough that thousands of devices
@@ -185,6 +186,7 @@ class FleetServeResult:
             "cache_hits": self.cache_hits,
             "rebuilt_devices": self.rebuilt,
             "supervised": self.supervised,
+            "core": active_core(),
         }
         return out
 

@@ -15,6 +15,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.observability import events as ev
 
+#: ``trace.meta`` drop counters of a bounded tracer, with their labels.
+_DROP_LABELS = (("dropped_ops", "op records"),
+                ("dropped_allocs", "allocation records"),
+                ("dropped_request_events", "per-request events"))
+
 
 class TraceFormatError(ValueError):
     """The file is not a readable trace of a supported schema."""
@@ -92,8 +97,8 @@ class TraceSummary:
             f"{meta.get('channels', '?')}x"
             f"{meta.get('chips_per_channel', '?')} chips, "
             f"{self.total_events} events"
-            + (f", {meta['dropped_ops']} op records dropped (ring)"
-               if meta.get("dropped_ops") else ""))
+            + "".join(f", {meta[key]} {label} dropped (ring)"
+                      for key, label in _DROP_LABELS if meta.get(key)))
         if self.phases:
             lines.append("")
             lines.append(f"{'phase':12s} {'wall [s]':>9s} "

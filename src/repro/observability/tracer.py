@@ -72,6 +72,11 @@ _ALLOC_WIDTH = 7
 #: per-op trim).
 _TRIM_SLACK = 1024
 
+#: Cold event kinds emitted once or more per host request; a bounded
+#: tracer keeps only the newest ``capacity`` of them (see
+#: :meth:`Tracer.request_event`).
+_REQUEST_KINDS = frozenset((ev.QOS_ADMIT, ev.QOS_ARBITRATE))
+
 #: Warm-record decode table: code -> (event kind, data field names).
 #: Warm records are flat ``(code, t, *data)`` captures for emission
 #: sites that are too frequent for :meth:`Tracer.event`'s kwargs/dict
@@ -87,12 +92,16 @@ class Tracer:
     """Captures trace events from an instrumented storage system.
 
     Args:
-        capacity: maximum retained *op* records (issue/complete pairs
-            count as one).  ``None`` (the default) retains everything;
-            with a capacity the buffer acts as a ring — the oldest
-            records are trimmed in chunks and counted in
-            :attr:`dropped_ops`.  Cold events (GC, faults, QoS, ...)
-            are never trimmed; they are orders of magnitude rarer.
+        capacity: maximum retained records of each per-op or
+            per-request kind: op records (one per flash op),
+            allocation-decision records, and per-request QoS
+            events (``qos.admit``/``qos.arbitrate``).  ``None`` (the
+            default) retains everything; with a capacity each acts as a
+            ring — the oldest records are trimmed in chunks and counted
+            in :attr:`dropped_ops`, :attr:`dropped_allocs` and
+            :attr:`dropped_request_events`.  The remaining cold events
+            (GC, faults, parity, ...) are never trimmed; they are
+            orders of magnitude rarer than host requests.
         enabled: the single on/off guard.  A disabled tracer's
             :meth:`install` is a no-op, leaving the system completely
             uninstrumented.
@@ -105,6 +114,8 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self.dropped_ops = 0
+        self.dropped_allocs = 0
+        self.dropped_request_events = 0
         self.metrics = MetricsRegistry()
         self.meta: Dict[str, object] = {}
         #: flat scalar buffers (see the module docstring for why); the
@@ -115,8 +126,19 @@ class Tracer:
         self._op_limit = inf if capacity is None \
             else (capacity + _TRIM_SLACK) * _OP_WIDTH
         self._alloc_raw: List[object] = []
+        #: allocation-ring length past which the hook calls
+        #: :meth:`_trim_allocs` (same amortized scheme as the op ring)
+        self._alloc_limit = inf if capacity is None \
+            else (capacity + _TRIM_SLACK) * _ALLOC_WIDTH
         self._warm_raw: List[object] = []
         self._cold: List[TraceEvent] = []
+        #: per-request events currently in ``_cold``, and the count
+        #: past which :meth:`request_event` trims them (a trim rescans
+        #: ``_cold``, so the slack grows with the capacity to keep its
+        #: amortized cost per event constant)
+        self._request_events = 0
+        self._request_limit = inf if capacity is None \
+            else 2 * capacity + _TRIM_SLACK
         #: one-slot cell cold emission reads the current phase from
         self._phase_cell: List[str] = ["run"]
         #: phase transitions, parallel (times, names), for hot records
@@ -303,6 +325,21 @@ class Tracer:
         fields["phase"] = self._phase_cell[0]
         self._cold.append(TraceEvent(kind, self._sim.now, fields))
 
+    def request_event(self, kind: str, /, **fields: object) -> None:
+        """Emit one per-request cold event (a ``_REQUEST_KINDS`` kind).
+
+        Same record as :meth:`event`, but counted against the
+        capacity: a bounded tracer keeps the newest ``capacity`` of
+        them, in place among the other cold events.
+        """
+        if kind not in _REQUEST_KINDS:
+            raise ValueError(f"{kind!r} is not a per-request event kind")
+        fields["phase"] = self._phase_cell[0]
+        self._cold.append(TraceEvent(kind, self._sim.now, fields))
+        self._request_events += 1
+        if self._request_events >= self._request_limit:
+            self._trim_request_events()
+
     def warm_parity(self, chip: int, owner: int, block: int,
                     page: int, cycled: int) -> None:
         """Flat-capture one ``parity.write`` (see ``_WARM_KINDS``)."""
@@ -324,12 +361,17 @@ class Tracer:
         buffer = ftl.write_buffer
         quota = getattr(ftl, "quota", None)
         prev = ftl._after_host_program  # bound method, attr, or None
-        raw_extend = self._alloc_raw.extend
+        raw = self._alloc_raw
+        raw_extend = raw.extend
+        limit = self._alloc_limit
+        trim = self._trim_allocs
 
         if quota is None:
             def _alloc_hook(chip_id, addr, ptype, now):
                 raw_extend((now, chip_id, addr[2], addr[3],
                             1 if ptype else 0, buffer._live, -1))
+                if len(raw) >= limit:
+                    trim()
                 if prev is not None:
                     prev(chip_id, addr, ptype, now)
         else:
@@ -337,6 +379,8 @@ class Tracer:
                 raw_extend((now, chip_id, addr[2], addr[3],
                             1 if ptype else 0, buffer._live,
                             quota.value))
+                if len(raw) >= limit:
+                    trim()
                 if prev is not None:
                     prev(chip_id, addr, ptype, now)
 
@@ -361,6 +405,39 @@ class Tracer:
             self.dropped_ops += drop // _OP_WIDTH
             del raw[:drop]
 
+    def _trim_allocs(self) -> None:
+        """Enforce the capacity on the allocation ring (see
+        :meth:`_trim`; the hook calls this past ``_alloc_limit``)."""
+        capacity = self.capacity
+        raw = self._alloc_raw
+        if capacity is not None and len(raw) > capacity * _ALLOC_WIDTH:
+            drop = len(raw) - capacity * _ALLOC_WIDTH
+            self.dropped_allocs += drop // _ALLOC_WIDTH
+            del raw[:drop]
+
+    def _trim_request_events(self) -> None:
+        """Drop the oldest per-request cold events past the capacity,
+        keeping every other cold event and the relative order."""
+        capacity = self.capacity
+        if capacity is None or self._request_events <= capacity:
+            return
+        excess = self._request_events - capacity
+        self.dropped_request_events += excess
+        self._request_events = capacity
+        kept: List[TraceEvent] = []
+        for event in self._cold:
+            if excess and event.kind in _REQUEST_KINDS:
+                excess -= 1
+            else:
+                kept.append(event)
+        self._cold[:] = kept
+
+    def _settle(self) -> None:
+        """Trim every bounded buffer to its capacity exactly."""
+        self._trim()
+        self._trim_allocs()
+        self._trim_request_events()
+
     @property
     def op_count(self) -> int:
         """Op records currently retained (excludes dropped ones)."""
@@ -369,7 +446,8 @@ class Tracer:
 
     @property
     def alloc_count(self) -> int:
-        """Allocation-decision records captured."""
+        """Allocation-decision records retained (excludes dropped ones)."""
+        self._trim_allocs()
         return len(self._alloc_raw) // _ALLOC_WIDTH
 
     def clear(self) -> None:
@@ -378,7 +456,10 @@ class Tracer:
         self._alloc_raw.clear()
         self._warm_raw.clear()
         self._cold.clear()
+        self._request_events = 0
         self.dropped_ops = 0
+        self.dropped_allocs = 0
+        self.dropped_request_events = 0
 
     # ------------------------------------------------------------------
     # materialization
@@ -392,7 +473,7 @@ class Tracer:
         keep a deterministic order (ops, then allocation decisions,
         then cold events).
         """
-        self._trim()
+        self._settle()
         out: List[TraceEvent] = []
         phase_at = self._phase_at
         raw = self._op_raw
@@ -436,12 +517,21 @@ class Tracer:
     # sinks
 
     def meta_line(self) -> Dict[str, object]:
-        """The ``trace.meta`` header record."""
+        """The ``trace.meta`` header record.
+
+        A bounded tracer also reports what its allocation ring and
+        per-request event bound dropped; an unbounded one never drops,
+        and its header keeps the historical fields only.
+        """
+        self._settle()
         data: Dict[str, object] = {
             "ev": "trace.meta",
             "schema": ev.SCHEMA_VERSION,
             "dropped_ops": self.dropped_ops,
         }
+        if self.capacity is not None:
+            data["dropped_allocs"] = self.dropped_allocs
+            data["dropped_request_events"] = self.dropped_request_events
         data.update(self.meta)
         return data
 

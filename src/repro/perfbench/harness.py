@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.experiments.runner import ExperimentConfig, build_system
 from repro.nand.geometry import NandGeometry
 from repro.qos.host import MultiTenantHost, TenantSpec
+from repro.sim._native import active_core
 from repro.sim.host import ClosedLoopHost, StreamOp
 from repro.workloads.benchmarks import WorkloadProfile, build_workload
 from repro.workloads.synthetic import sequential_fill
@@ -247,6 +248,7 @@ class PerfbenchResult:
             "track_history": self.track_history,
             "kernel": self.kernel,
             "python": platform.python_version(),
+            "core": active_core(),
             "workloads": {name: t.to_dict()
                           for name, t in self.timings.items()},
             "summary": {
@@ -566,6 +568,7 @@ class TraceOverheadResult:
             "span": self.span,
             "rounds": self.rounds,
             "python": platform.python_version(),
+            "core": active_core(),
             "methodology": (
                 "paired untraced/traced runs on fresh systems with "
                 "within-pair order alternating per pair, fill + "
@@ -691,6 +694,7 @@ class PhysicsOverheadResult(TraceOverheadResult):
             "span": self.span,
             "rounds": self.rounds,
             "python": platform.python_version(),
+            "core": active_core(),
             "physics": {
                 "pe_baseline": PHYSICS_BENCH_PE,
                 "retention_baseline_hours": PHYSICS_BENCH_RETENTION_HOURS,
@@ -885,6 +889,7 @@ class ScaleSweepResult:
             "rounds": self.rounds,
             "kernel": self.kernel,
             "python": platform.python_version(),
+            "core": active_core(),
             "methodology": (
                 "per geometry multiplier, paired runs of the "
                 "configuration under test and the heap-kernel "

@@ -237,10 +237,10 @@ class MultiTenantHost:
         self.queues[t_index].push(request, self._seq, now)
         self._seq += 1
         if self._trace is not None:
-            self._trace.event("qos.admit", tenant=spec.name,
-                              kind=op.kind.value, lpn=op.lpn,
-                              npages=op.npages,
-                              depth=len(self.queues[t_index]))
+            self._trace.request_event(
+                "qos.admit", tenant=spec.name, kind=op.kind.value,
+                lpn=op.lpn, npages=op.npages,
+                depth=len(self.queues[t_index]))
         if self._metrics is not None:
             self._metrics.counter("qos.admitted",
                                   tenant=spec.name).inc()
@@ -295,10 +295,10 @@ class MultiTenantHost:
                 assert index is not None  # some queue was eligible
                 queue = self.queues[index]
                 if self._trace is not None:
-                    self._trace.event("qos.arbitrate",
-                                      tenant=queue.tenant,
-                                      depth=len(queue),
-                                      issued=self._issued)
+                    self._trace.request_event("qos.arbitrate",
+                                              tenant=queue.tenant,
+                                              depth=len(queue),
+                                              issued=self._issued)
                 if self._metrics is not None:
                     self._metrics.counter("qos.dispatched",
                                           tenant=queue.tenant).inc()

@@ -18,6 +18,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.nand.array import NandArray
 from repro.nand.errors import ReadOnlyDeviceError
+from repro.sim import _native
 from repro.sim.kernel import Simulator
 from repro.sim.ops import FlashOp, OpKind
 from repro.sim.queues import (
@@ -34,7 +35,6 @@ from repro.sim.stats import FaultStats, SimStats
 # OpKind members hoisted to module level for the dispatch hot path
 _PROGRAM = OpKind.PROGRAM
 _READ = OpKind.READ
-_new = object.__new__
 
 
 class StorageController:
@@ -186,7 +186,16 @@ class StorageController:
         For each idle chip the priority order is: a queued host read,
         then FTL work, then — only while no host I/O is outstanding —
         background garbage collection.
+
+        Runs in the compiled op cycle (:mod:`repro.sim._native`) when it
+        loaded, together with :meth:`_execute` and, for completions the
+        compiled event loop pops, :meth:`_on_op_done`; the Python
+        methods are its reference and fallback.
         """
+        core = _native.opcycle
+        if core is not None:
+            core.pump(self)
+            return
         if self._pumping:
             return
         self._pumping = True
@@ -230,60 +239,13 @@ class StorageController:
             self._pumping = False
 
     def _drain_admissions(self) -> bool:
-        buffer = self.write_buffer
-        if buffer.coalesce:
-            return self._drain_admissions_general()
-        # Fast path with WriteBuffer.push and the per-page stats call
-        # open-coded: without coalescing a push can never go stale, and
-        # the clock is fixed for the whole drain, so every admitted
-        # page lands in the same bandwidth bucket.  Keep in sync with
-        # :meth:`repro.sim.queues.WriteBuffer.push` and
-        # :meth:`repro.sim.stats.SimStats.note_host_page_write`.
-        capacity = buffer.capacity
-        admissions = self._admissions
-        now = self.sim.now
-        fifo = buffer._fifo
-        resident = buffer._resident
-        live = buffer._live
-        pushed = 0
-        while admissions and live < capacity:
-            request = admissions[0]
-            remaining = request.pages_remaining
-            next_lpn = request.lpn + request.npages - remaining
-            while remaining > 0 and live < capacity:
-                # BufferedWrite built via object.__new__ + slot stores:
-                # skips the dataclass __init__ frame (per admitted page)
-                entry = _new(BufferedWrite)
-                entry.lpn = next_lpn
-                entry.enqueued_at = now
-                entry.request = request
-                fifo.append(entry)
-                resident[next_lpn] = resident.get(next_lpn, 0) + 1
-                next_lpn += 1
-                live += 1
-                remaining -= 1
-                pushed += 1
-            request.pages_remaining = remaining
-            if remaining > 0:
-                break
-            admissions.popleft()
-            # publish the level before the completion callback runs
-            # (hosts may submit follow-on requests from it)
-            buffer._live = live
-            self._complete_request(request)
-            live = buffer._live
-        buffer._live = live
-        if not pushed:
-            return False
-        stats = self.stats
-        stats.written_pages += pushed
-        bandwidth = stats.write_bandwidth
-        buckets = bandwidth._buckets
-        bucket = int(now / bandwidth.window)
-        buckets[bucket] = buckets.get(bucket, 0) + pushed * stats.page_size
-        return True
+        """Admit queued write pages into the buffer while it has room.
 
-    def _drain_admissions_general(self) -> bool:
+        Completes each request whose last page got in; returns whether
+        any page was admitted.  The compiled op cycle folds the push
+        and the per-page stats into one pass when the buffer does not
+        coalesce.
+        """
         progress = False
         buffer = self.write_buffer
         capacity = buffer.capacity
@@ -723,3 +685,9 @@ class StorageController:
         self._idle = list(range(chips))
         self._channel_free = [0.0] * self.geometry.channels
         return dropped
+
+
+if _native.opcycle is not None:
+    _native.opcycle.setup(StorageController._on_op_done, Simulator._push,
+                          Simulator._advance_day, _PROGRAM, _READ,
+                          BufferedWrite)

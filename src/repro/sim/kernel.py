@@ -31,6 +31,11 @@ Two queue implementations share that entry format:
     oracle (``ExperimentConfig(kernel="heap")`` and the property suite
     in ``tests/test_kernel_calendar_property.py`` drive both and assert
     identical pop order).
+
+:meth:`Simulator.run` executes in the compiled op cycle
+(:mod:`repro.sim._native`) whenever it loaded; the Python loop is its
+reference and fallback, and the property suite pins the two to the
+same pop order, clock and event count.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from bisect import insort
 from heapq import heappop, heappush
 from math import isinf
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.sim import _native
 
 # Heap-entry slot indices.
 _TIME, _PRIORITY, _SEQ, _FN, _ARGS, _CANCELLED, _COUNTER = range(7)
@@ -378,37 +385,14 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue empties, ``until`` is reached, or
-        ``max_events`` have been processed (a runaway-loop backstop)."""
-        if until is None and max_events is None:
-            # Run-to-exhaustion fast path: no bound checks per event.
-            # Semantically the general loop below with both guards
-            # stripped; keep the cancel/advance handling in sync.
-            active = self._active
-            pos = self._active_pos
-            while True:
-                if pos >= len(active):
-                    self._active_pos = pos
-                    if not self._advance_day():
-                        return
-                    active = self._active
-                    pos = 0
-                entry = active[pos]
-                pos += 1
-                if entry[_CANCELLED]:
-                    entry[_COUNTER][0] -= 1
-                    entry[_COUNTER] = None
-                    continue
-                entry[_COUNTER] = None
-                # Publish the cursor before the callback: a same-bucket
-                # push insorts at ``_active_pos``, and ``halt`` rebinds
-                # the active list (detected below).
-                self._active_pos = pos
-                self.now = entry[_TIME]
-                self.processed += 1
-                entry[_FN](*entry[_ARGS])
-                if active is not self._active:
-                    active = self._active
-                    pos = self._active_pos
+        ``max_events`` have been processed (a runaway-loop backstop).
+
+        Runs in the compiled op cycle (:mod:`repro.sim._native`) when it
+        loaded; the loop below is its reference and fallback.
+        """
+        core = _native.opcycle
+        if core is not None:
+            core.run(self, until, max_events)
             return
         remaining = -1 if max_events is None else max_events
         while self._ensure_head():

@@ -3,6 +3,24 @@
 import pytest
 
 from repro.nand.geometry import NandGeometry
+from repro.sim import _native
+
+
+@pytest.fixture(params=["compiled", "python"])
+def op_core(request, monkeypatch):
+    """Run the test once on the compiled op cycle and once on the
+    pure-Python reference path (see :mod:`repro.sim._native`).
+
+    The compiled variant is skipped where the extension could not be
+    built; CI checks separately that it loads.
+    """
+    if request.param == "compiled":
+        if _native.opcycle is None:
+            pytest.skip("compiled op cycle unavailable")
+    else:
+        monkeypatch.setattr(_native, "opcycle", None)
+    assert _native.active_core() == request.param
+    return request.param
 
 
 @pytest.fixture

@@ -101,6 +101,50 @@ class TestFleetDeterminism:
         assert set(resumed.report.per_tenant()) == \
             {"tenant0", "tenant1"}
 
+    @pytest.mark.parametrize("tenants,fingerprint", [
+        (0, "aa99b9cff865156626d3fe60fabddb3f"
+               "71fdee41a494445a333e9f3f893d838b"),
+        (2, "036d67e60b32b1eda3e01e9da75036a9"
+            "e7490aa493216c65a0c9f87c7fa53dc9"),
+    ], ids=["plain", "tenanted"])
+    def test_kill_resume_fingerprint_on_each_core(self, op_core, tmp_path,
+                                                  tenants, fingerprint):
+        """Kill/resume across two workers lands on the same pinned
+        fleet fingerprint on the compiled and the pure-Python op path
+        (pinned from the pure-Python core before the compiled one
+        existed)."""
+        fleet = small_fleet(devices=4 if tenants else 6,
+                            tenants=tenants)
+        ckpt = tmp_path / "ckpt"
+        run_fleet(fleet, jobs=2, checkpoint_dir=str(ckpt),
+                  stop_after_events=300)
+        resumed = run_fleet(fleet, jobs=2, checkpoint_dir=str(ckpt),
+                            resume=True)
+        assert resumed.resumed == fleet.devices
+        assert resumed.report.fingerprint() == fingerprint
+
+    def test_checkpoint_on_one_core_resumes_on_the_other(
+            self, monkeypatch, tmp_path):
+        """The compiled op cycle keeps no state of its own, so a
+        snapshot written on one op path resumes on the other."""
+        from repro.sim import _native
+        if _native.opcycle is None:
+            pytest.skip("compiled op cycle unavailable")
+        fleet = small_fleet(devices=3)
+        oracle = run_fleet(fleet, jobs=1).report.fingerprint()
+        compiled = _native.opcycle
+        for index, (first, second) in enumerate(((compiled, None),
+                                                 (None, compiled))):
+            ckpt = tmp_path / str(index)
+            monkeypatch.setattr(_native, "opcycle", first)
+            run_fleet(fleet, jobs=1, checkpoint_dir=str(ckpt),
+                      stop_after_events=300)
+            monkeypatch.setattr(_native, "opcycle", second)
+            resumed = run_fleet(fleet, jobs=1, checkpoint_dir=str(ckpt),
+                                resume=True)
+            assert resumed.resumed == fleet.devices
+            assert resumed.report.fingerprint() == oracle
+
     def test_devices_see_distinct_workloads(self):
         fleet = small_fleet(devices=3)
         result = run_fleet(fleet, jobs=1)
@@ -242,6 +286,7 @@ class TestServeCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["totals"]["completed_devices"] == 4
         assert payload["service"]["resumed_devices"] == 4
+        assert payload["service"]["core"] in ("compiled", "python")
 
     def test_serve_rejects_unknown_ftl(self):
         from repro.cli import main

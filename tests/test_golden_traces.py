@@ -114,6 +114,14 @@ def test_trace_matches_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_matches_golden_on_each_core(name, op_core, tmp_path):
+    """Capture order and timing are the same on the compiled op cycle
+    and the pure-Python reference path."""
+    golden = (DATA_DIR / f"golden_trace_{name}.jsonl").read_text()
+    assert SCENARIOS[name](tmp_path).read_text() == golden
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_is_deterministic(name, tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

@@ -7,12 +7,17 @@ mixed across sub-bucket, bucket-boundary, multi-bucket and far-future
 ``(now, tag)`` pairs plus the processed counter and final clock — must
 match exactly.  A narrow-width, tiny-span calendar variant stresses
 the overflow migration path that the default geometry never reaches.
+
+The same interleavings, plus ``halt()`` fired from inside a callback,
+also run through the compiled event loop and the Python loop of the
+calendar kernel, which must agree on pop order, clock and counter.
 """
 
 import random
 
 import pytest
 
+from repro.sim import _native
 from repro.sim.kernel import HeapSimulator, Simulator
 
 #: Delay menu [s]: same-instant, sub-bucket, exactly one default
@@ -97,3 +102,79 @@ def test_halt_mid_bucket_drops_later_entries():
 
     assert transcript(Simulator) == transcript(HeapSimulator)
     assert transcript(Simulator)[0] == ["a", "halt", "rebooted"]
+
+
+def drive_with_halts(make_sim, seed, steps=400):
+    """:func:`drive` plus callbacks that halt the queue (a power cut)
+    or schedule follow-ups from inside the loop; returns the firing
+    transcript with the clock after every run call."""
+    rng = random.Random(seed)
+    sim = make_sim()
+    fired = []
+    handles = []
+    tag = 0
+
+    def record(t):
+        fired.append((sim.now, sim.processed, t))
+
+    def halting(t):
+        fired.append((sim.now, sim.processed, t, "halt"))
+        sim.halt()
+
+    def chaining(t, delay):
+        fired.append((sim.now, sim.processed, t, "chain"))
+        handles.append(sim.schedule(delay, record, -t))
+
+    for _ in range(steps):
+        action = rng.random()
+        delay = rng.choice(DELAYS) * rng.randint(1, 3)
+        priority = rng.randint(0, 2)
+        if action < 0.45 or not handles:
+            handles.append(sim.schedule(delay, record, tag,
+                                        priority=priority))
+        elif action < 0.50:
+            handles.append(sim.schedule(delay, halting, tag,
+                                        priority=priority))
+        elif action < 0.58:
+            handles.append(sim.schedule(delay, chaining, tag,
+                                        rng.choice(DELAYS),
+                                        priority=priority))
+        elif action < 0.70:
+            handles[rng.randrange(len(handles))].cancel()
+        elif action < 0.82:
+            sim.run(max_events=rng.randint(0, 6))
+            fired.append(("run", sim.now, sim.processed))
+        elif action < 0.94:
+            sim.run(until=sim.now + rng.choice(DELAYS))
+            fired.append(("until", sim.now, sim.processed))
+        else:
+            sim.run(until=sim.now + rng.choice(DELAYS),
+                    max_events=rng.randint(1, 4))
+            fired.append(("both", sim.now, sim.processed))
+        tag += 1
+    sim.run()
+    return fired, sim.processed, sim.now, sim.pending
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("make_sim", [
+    Simulator,
+    lambda: Simulator(bucket_width=7e-6, span=4),
+    lambda: Simulator(bucket_width=10.0),
+], ids=["default", "narrow", "wide"])
+def test_compiled_loop_matches_python_loop(seed, make_sim, monkeypatch):
+    """The compiled event loop pops exactly what the Python loop pops,
+    at the same clock and count, through cancels, in-callback halts,
+    ``until=`` and ``max_events=`` bounds."""
+    if _native.opcycle is None:
+        pytest.skip("compiled op cycle unavailable")
+    compiled = drive_with_halts(make_sim, seed)
+    monkeypatch.setattr(_native, "opcycle", None)
+    assert drive_with_halts(make_sim, seed) == compiled
+    assert drive_with_halts(HeapSimulator, seed) == compiled
+
+
+def test_calendar_matches_heap_on_each_core(op_core):
+    for seed in range(4):
+        assert drive_with_halts(Simulator, seed) == \
+            drive_with_halts(HeapSimulator, seed)

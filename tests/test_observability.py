@@ -85,6 +85,18 @@ class TestDeterminism:
             == json.dumps(plain, sort_keys=True)
         assert tracer.op_count > 0 and tracer.alloc_count > 0
 
+    @pytest.mark.parametrize("capacity", [None, 64])
+    def test_traced_equals_untraced_on_each_core(self, op_core, capacity):
+        """The op-ring append happens inside the compiled op cycle too;
+        neither path lets capture, bounded or not, perturb the run."""
+        plain = fingerprint(run_system(FlexFtl))
+        tracer = Tracer(capacity=capacity)
+        traced = fingerprint(run_system(FlexFtl, tracer=tracer))
+        tracer.detach()
+        assert json.dumps(traced, sort_keys=True) \
+            == json.dumps(plain, sort_keys=True)
+        assert tracer.op_count > 0
+
     def test_disabled_tracer_installs_nothing(self):
         tracer = Tracer(enabled=False)
         system = run_system(FlexFtl, tracer=tracer)
@@ -156,6 +168,66 @@ class TestRingBuffer:
         # cold events are never trimmed
         assert any(event.kind == ev.TPO_BLOCK_FULL
                    for event in tracer.events())
+
+    @staticmethod
+    def _tenant_run(tracer, rounds):
+        """Victim + noisy tenants behind the QoS front-end, ``rounds``
+        overwrite passes long; returns the detached tracer."""
+        sim, _, _, _, controller = build_small_system(
+            FlexFtl, GEOMETRY, buffer_pages=16)
+        victim = [StreamOp(RequestKind.WRITE, lpn, 1)
+                  for _ in range(rounds) for lpn in range(0, 60, 3)]
+        noisy = [StreamOp(RequestKind.WRITE, lpn, 2)
+                 for _ in range(rounds) for lpn in range(60, 120, 2)]
+        host = MultiTenantHost(sim, controller, [
+            TenantSpec.make("victim", [victim]),
+            TenantSpec.make("noisy", [noisy]),
+        ])
+        tracer.install(controller, qos_host=host)
+        host.start()
+        sim.run()
+        tracer.detach()
+        return tracer
+
+    def test_bounded_retention_is_flat_in_run_length(self):
+        """At a fixed capacity, doubling the run leaves every bounded
+        buffer's retained count unchanged; only the drop counts grow."""
+        short = self._tenant_run(Tracer(capacity=40), rounds=4)
+        long = self._tenant_run(Tracer(capacity=40), rounds=8)
+
+        def retained(tracer):
+            events = tracer.events()
+            requests = sum(event.kind in (ev.QOS_ADMIT, ev.QOS_ARBITRATE)
+                           for event in events)
+            return tracer.op_count, tracer.alloc_count, requests
+
+        assert retained(short) == retained(long) == (40, 40, 40)
+        assert long.dropped_ops > short.dropped_ops > 0
+        assert long.dropped_allocs > short.dropped_allocs > 0
+        assert (long.dropped_request_events
+                > short.dropped_request_events > 0)
+        meta = long.meta_line()
+        assert meta["dropped_allocs"] == long.dropped_allocs
+        assert (meta["dropped_request_events"]
+                == long.dropped_request_events)
+        # the newest per-request events survive
+        admits = [event.time for event in long.events()
+                  if event.kind == ev.QOS_ADMIT]
+        unbounded = self._tenant_run(Tracer(), rounds=8)
+        all_admits = [event.time for event in unbounded.events()
+                      if event.kind == ev.QOS_ADMIT]
+        assert admits == all_admits[-len(admits):]
+
+    def test_request_event_rejects_other_kinds(self):
+        with pytest.raises(ValueError, match="per-request"):
+            Tracer(capacity=4).request_event(ev.GC_VICTIM)
+
+    def test_unbounded_meta_keeps_historical_fields(self):
+        tracer = self._tenant_run(Tracer(), rounds=1)
+        assert "dropped_allocs" not in tracer.meta_line()
+        assert "dropped_request_events" not in tracer.meta_line()
+        assert tracer.dropped_allocs == 0
+        assert tracer.dropped_request_events == 0
 
     def test_clear_resets_buffers_but_not_installation(self):
         sim, _, _, _, controller = build_small_system(

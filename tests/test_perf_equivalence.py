@@ -33,6 +33,14 @@ def test_fig8_matches_pre_optimization_golden():
 
 
 @pytest.mark.slow
+def test_fig8_golden_on_each_core(op_core):
+    """The compiled op cycle and the pure-Python reference both
+    reproduce the golden byte for byte — every IOPS, erase and LSB/MSB
+    allocation count in it."""
+    assert _fig8_json() == GOLDEN.read_text()
+
+
+@pytest.mark.slow
 def test_history_opt_out_is_outcome_invariant():
     """``track_history=False`` (the perfbench fast mode) must change
     what the device remembers, never what the simulation computes."""

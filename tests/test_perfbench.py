@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import registry
 from repro.perfbench.harness import WORKLOADS, run_perfbench
+from repro.sim import _native
 
 #: Smallest meaningful run: op floors kick in, the warm-up fill still
 #: dominates, each workload finishes in well under a second.
@@ -53,6 +54,7 @@ class TestHarness:
         assert set(payload["workloads"]) == {"fig8_write"}
         assert payload["summary"]["min_events_per_sec"] > 0
         assert payload["floor"]["passed"] is True
+        assert payload["core"] == _native.active_core()
         json.dumps(payload)  # must be JSON-serializable as-is
 
     def test_output_file_written(self, tmp_path):

@@ -21,6 +21,7 @@ Also here:
   unshifted references and at a retry-ladder shift.
 """
 
+import hashlib
 import json
 import random
 
@@ -155,7 +156,17 @@ def test_live_run_aggressors_match_recorded_histories():
     """After a full simulated workload (warmup, GC, erases), every
     block's incremental aggressor state equals the oracle recomputation
     from its recorded program history."""
-    config = ExperimentConfig(geometry=GEOMETRY, track_history=True)
+    _check_live_run_aggressors()
+
+
+@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+def test_live_run_aggressors_match_oracle_on_each_core(op_core, kernel):
+    _check_live_run_aggressors(kernel)
+
+
+def _check_live_run_aggressors(kernel="calendar"):
+    config = ExperimentConfig(geometry=GEOMETRY, track_history=True,
+                              kernel=kernel)
     sim, array, _buffer, ftl, controller = build_system("flexFTL",
                                                         config)
     span = max(1, int(ftl.logical_pages * 0.6))
@@ -206,6 +217,19 @@ def test_physics_run_identical_across_kernels():
     (the determinism contract: the RNG stream is consumed in
     completion order, which both kernels retire alike)."""
     assert _physics_run("heap") == _physics_run("calendar")
+
+
+#: sha256 of the armed run's serialized result, pinned from the
+#: pure-Python op path before the compiled one existed.
+PHYSICS_RUN_SHA256 = ("a1f5e354921ca90087884829bdad96a2"
+                      "a7a276a7fb1cdd2f87896e9b08515603")
+
+
+@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+def test_physics_run_pinned_on_each_core(op_core, kernel):
+    """The armed run is byte-identical on both op paths and kernels."""
+    digest = hashlib.sha256(_physics_run(kernel).encode()).hexdigest()
+    assert digest == PHYSICS_RUN_SHA256
 
 
 def test_physics_result_roundtrip():
