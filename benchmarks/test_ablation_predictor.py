@@ -15,6 +15,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 from conftest import BENCH_CONFIG
@@ -23,15 +24,16 @@ from conftest import BENCH_CONFIG
 def test_ablation_future_write_predictor(benchmark, save_report):
     config = BENCH_CONFIG
     span = experiment_span(config, utilization=0.5)
-    streams = build_workload("Varmail", span, total_ops=14400, seed=1)
+    scenario = StreamScenario.from_streams(
+        build_workload("Varmail", span, total_ops=14400, seed=1))
 
     def run_both():
-        base = run_workload(ftl_name="flexFTL", streams=streams,
+        base = run_workload(ftl_name="flexFTL", scenario=scenario,
                             config=config)
         with_predictor = run_workload(
-            ftl_name="flexFTL", streams=streams,
+            ftl_name="flexFTL", scenario=scenario,
             config=dataclasses.replace(config, flex_use_predictor=True))
-        reference = run_workload(ftl_name="pageFTL", streams=streams,
+        reference = run_workload(ftl_name="pageFTL", scenario=scenario,
                                  config=config)
         return base, with_predictor, reference
 

@@ -10,6 +10,7 @@ heavier garbage collection and several times more erasures.
 
 from repro.experiments.runner import experiment_span, run_workload
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 from conftest import BENCH_CONFIG
@@ -18,12 +19,12 @@ from conftest import BENCH_CONFIG
 def test_related_work_slc_mode(benchmark, save_report):
     span = experiment_span(BENCH_CONFIG, utilization=0.75,
                            ftls=("slcFTL",))
-    streams = build_workload("Fileserver", span, total_ops=12000,
-                             seed=1)
+    scenario = StreamScenario.from_streams(build_workload(
+        "Fileserver", span, total_ops=12000, seed=1))
 
     def run_all():
         return {
-            name: run_workload(ftl_name=name, streams=streams,
+            name: run_workload(ftl_name=name, scenario=scenario,
                                config=BENCH_CONFIG)
             for name in ("pageFTL", "flexFTL", "slcFTL")
         }

@@ -25,6 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments.fig8 import FTLS
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads import PROFILES, build_workload
 
 
@@ -43,7 +44,9 @@ def main() -> None:
           f"{profile.intensiveness} intensity)")
 
     print(f"  running {', '.join(FTLS)} in parallel ...")
-    cells = [workload_cell(ftl, streams, config, label=ftl)
+    scenario = StreamScenario.from_streams(streams)
+    cells = [workload_cell(ftl, scenario=scenario, config=config,
+                           label=ftl)
              for ftl in FTLS]
     outcomes = run_cells(cells, options=EngineOptions(jobs=4),
                          label="ftl_comparison")

@@ -10,7 +10,7 @@ post-finalisation aggressor programs: the paper's Figure-4 lifetime
 argument, emergent from the live system.
 
 Part 2 arms one heavily worn run directly through
-``run_physics_workload`` and unpacks the voltage-shift read-retry
+``run_workload(physics=...)`` and unpacks the voltage-shift read-retry
 ladder's activity: errors sampled, shift-rung recoveries, escalated-ECC
 recoveries, and pages the whole ladder lost.
 
@@ -29,8 +29,8 @@ from repro.experiments.lifetime_physics import (
     render_lifetime_physics,
     run_lifetime_physics,
 )
+from repro.experiments.runner import run_workload
 from repro.reliability import PhysicsConfig
-from repro.reliability.runner import run_physics_workload
 from repro.scenarios.presets import make_preset
 
 
@@ -49,7 +49,7 @@ def lifetime_grid(seed: int) -> None:
 def ladder_walkthrough(seed: int) -> None:
     scenario = make_preset("cold_aging", footprint=1200,
                            total_ops=1500, seed=seed)
-    result = run_physics_workload(
+    result = run_workload(
         ftl_name="flexFTL",
         scenario=scenario,
         physics=PhysicsConfig(
@@ -69,13 +69,13 @@ def ladder_walkthrough(seed: int) -> None:
     print(f"  ECC escalations      {physics['ecc_escalations']}"
           f"  -> recovered {physics['ecc_recoveries']}")
     print(f"  uncorrectable        {physics['uncorrectable']}")
-    faults = result.run.stats.faults
+    faults = result.stats.faults
     if faults is not None:
         print(f"  ladder reads charged {faults.ladder_reads}"
               f"  (itemised into read latency)")
         print(f"  parity rebuilds      {faults.parity_reconstructions}"
               f"  lost pages {faults.lost_pages}")
-    first = result.first_uncorrectable_read
+    first = physics["first_uncorrectable_read"]
     onset = "none" if first is None else f"sampled read #{first}"
     print(f"  first ECC failure    {onset}")
 

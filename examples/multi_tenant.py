@@ -13,9 +13,12 @@ Usage::
 """
 
 from repro.experiments.qos_isolation import build_noisy_neighbor
-from repro.experiments.runner import ExperimentConfig, experiment_span
+from repro.experiments.runner import (
+    ExperimentConfig,
+    experiment_span,
+    run_workload,
+)
 from repro.metrics.report import render_table
-from repro.qos import run_qos_workload
 
 
 def main() -> None:
@@ -29,18 +32,18 @@ def main() -> None:
 
     rows = []
     for arbiter in ("fifo", "rr", "wrr", "drr"):
-        result = run_qos_workload(ftl_name="flexFTL", tenants=tenants,
-                                  arbiter=arbiter, config=config,
-                                  max_outstanding=8)
-        victim = result.tenant("victim")
+        result = run_workload(ftl_name="flexFTL", tenants=tenants,
+                              arbiter=arbiter, config=config,
+                              max_outstanding=8)
+        victim = result.tenants["victim"]
         rows.append([
             arbiter,
-            f"{result.write_p99('victim') * 1e3:.3f}",
+            f"{float(victim['write_latency']['p99']) * 1e3:.3f}",
             f"{float(victim['read_latency']['p99']) * 1e3:.3f}",
             str(int(victim["read_violations"])
                 + int(victim["write_violations"])),
             f"{float(victim['queue']['mean_depth']):.2f}",
-            f"{float(result.totals['iops']):.0f}",
+            f"{result.iops:.0f}",
         ])
 
     print(render_table(

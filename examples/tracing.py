@@ -12,14 +12,20 @@ statistics cannot:
 3. *what exactly* — the raw event stream around any moment of
    interest (here: the first garbage collection).
 
+Finally it shows that a tracer composes with the other
+``run_workload`` keywords: a second traced run arms a fault plan, and
+the trace records each injected failure next to the ops around it.
+
 Usage::
 
     python examples/tracing.py [trace.jsonl]
 """
 
+import dataclasses
 import sys
 
 from repro.experiments.runner import ExperimentConfig, run_workload
+from repro.faults.plan import FaultPlan
 from repro.nand.geometry import NandGeometry
 from repro.observability import events as ev
 from repro.observability.summary import summarize_tracer
@@ -101,6 +107,26 @@ def main() -> None:
           f"collections, {metrics.counter_total('parity.writes')} "
           f"parity writes "
           f"(serialized under stats['metrics'] in RunResult files)")
+
+    # 4. tracing composes with runtime fault injection in one run
+    armed = dataclasses.replace(config, ftl_config=dataclasses.replace(
+        config.ftl_config, spare_blocks_per_chip=2))
+    fault_tracer = Tracer()
+    faulted = run_workload(
+        ftl_name="flexFTL",
+        scenario=StreamScenario.from_streams(
+            [churny_stream(span=500, rounds=2)], name="churn"),
+        config=armed,
+        tracer=fault_tracer,
+        faults=FaultPlan(seed=3, program_fail_rate=0.002),
+    )
+    injected = sum(1 for event in fault_tracer.events()
+                   if event.kind == ev.FAULT_INJECT)
+    faults = faulted.stats.faults
+    print(f"\nwith a fault plan armed: {injected} injected faults "
+          f"traced, {faults.redriven_writes} writes re-driven, "
+          f"{faults.reconstructed_pages} pages parity-reconstructed, "
+          f"{faults.lost_pages} pages lost")
 
 
 if __name__ == "__main__":

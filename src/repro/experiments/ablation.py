@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 
@@ -73,7 +74,9 @@ def _run_points(
     sweep: str,
 ) -> List[AblationPoint]:
     """Run (label, ftl, config) triples as one engine batch."""
-    cells = [workload_cell(ftl, streams, config, label=label)
+    scenario = StreamScenario.from_streams(streams)
+    cells = [workload_cell(ftl, scenario=scenario, config=config,
+                           label=label)
              for label, ftl, config in labelled_configs]
     results = run_cells(cells, options=engine, label=sweep)
     return [AblationPoint(label, result)

@@ -58,11 +58,11 @@ from repro.experiments.runner import (
     RunResult,
     run_workload,
 )
-from repro.scenarios.base import Scenario, StreamScenario
+from repro.scenarios.base import Scenario
 
 #: Bump when the serialized result layout changes; invalidates the
 #: on-disk cache.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Default on-disk cache location (see :class:`ResultCache`).
 DEFAULT_CACHE_DIR = Path("~/.cache/repro-rps")
@@ -200,10 +200,6 @@ def register_executor(
                                         decode=decode)
 
 
-def _run_workload_cell(**params: Any) -> RunResult:
-    return run_workload(**params)
-
-
 def _run_reliability_cell(
     *,
     scheme: str,
@@ -238,40 +234,6 @@ def _run_tlc_cell(**params: Any) -> Any:
     return run_tlc_workload(**params)
 
 
-def _run_qos_cell(**params: Any) -> Any:
-    from repro.qos.runner import run_qos_workload
-
-    return run_qos_workload(**params)
-
-
-def _run_fault_cell(**params: Any) -> RunResult:
-    from repro.faults.runner import run_fault_workload
-
-    return run_fault_workload(**params)
-
-
-def _run_physics_cell(**params: Any) -> Any:
-    from repro.reliability.runner import run_physics_workload
-
-    return run_physics_workload(**params)
-
-
-def _decode_physics(data: Dict[str, Any]) -> Any:
-    from repro.reliability.runner import PhysicsRunResult
-
-    return PhysicsRunResult.from_dict(data)
-
-
-def _encode_qos(result: Any) -> Dict[str, Any]:
-    return result.to_dict()
-
-
-def _decode_qos(data: Dict[str, Any]) -> Any:
-    from repro.qos.runner import QosRunResult
-
-    return QosRunResult.from_dict(data)
-
-
 def _encode_tlc(result: Any) -> Dict[str, Any]:
     return result.to_dict()
 
@@ -282,50 +244,34 @@ def _decode_tlc(data: Dict[str, Any]) -> Any:
     return TlcRunResult.from_dict(data)
 
 
-register_executor("workload", _run_workload_cell,
+register_executor("workload", run_workload,
                   encode=lambda result: result.to_dict(),
                   decode=RunResult.from_dict)
 register_executor("reliability", _run_reliability_cell)
 register_executor("tlc_workload", _run_tlc_cell,
                   encode=_encode_tlc, decode=_decode_tlc)
-register_executor("qos_workload", _run_qos_cell,
-                  encode=_encode_qos, decode=_decode_qos)
-register_executor("fault_workload", _run_fault_cell,
-                  encode=lambda result: result.to_dict(),
-                  decode=RunResult.from_dict)
-register_executor("physics_workload", _run_physics_cell,
-                  encode=lambda result: result.to_dict(),
-                  decode=_decode_physics)
 
 
 def workload_cell(
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[Any]]] = None,
+    *,
+    scenario: Any,
     config: Optional[ExperimentConfig] = None,
     label: str = "",
-    scenario: Any = None,
     **extra: Any,
 ) -> Cell:
-    """Convenience constructor for the common ``run_workload`` cell.
+    """Convenience constructor for a scenario-driven ``workload`` cell.
 
-    Takes exactly one workload source: legacy pre-built ``streams``
-    (wrapped into a :class:`~repro.scenarios.base.StreamScenario`) or
-    a ``scenario`` (a :class:`~repro.scenarios.base.Scenario` or its
-    spec dict).  Either way the cell carries a JSON-safe scenario
-    *spec*, so pool workers and the result cache see plain data and a
-    lazy generator scenario is regenerated inside the worker instead
-    of being shipped materialized.
+    ``scenario`` is a :class:`~repro.scenarios.base.Scenario` or its
+    spec dict; the cell carries the JSON-safe *spec*, so pool workers
+    and the result cache see plain data and a lazy generator scenario
+    is regenerated inside the worker instead of being shipped
+    materialized.  ``extra`` passes further
+    :func:`~repro.experiments.runner.run_workload` keywords (``faults``,
+    ``physics``, ``power_cuts``, ...).
     """
-    if (streams is None) == (scenario is None):
-        raise ValueError(
-            "workload_cell() takes exactly one of streams (legacy) "
-            "or scenario")
-    if streams is not None:
-        spec = StreamScenario.from_streams(streams).spec()
-    elif isinstance(scenario, Scenario):
-        spec = scenario.spec()
-    else:
-        spec = dict(scenario)
+    spec = (scenario.spec() if isinstance(scenario, Scenario)
+            else dict(scenario))
     return Cell.make("workload", label=label or ftl_name,
                      ftl_name=ftl_name, scenario=spec,
                      config=config or ExperimentConfig(), **extra)

@@ -10,15 +10,16 @@ and reports data loss, while flexFTL reconstructs it from the parity
 page and re-drives it — zero logical data loss at rates that corrupt
 the baseline.
 
-Each grid point is one ``fault_workload`` engine cell (PR-1), so
-``--jobs`` parallelism and result caching behave exactly like fig8;
+Each grid point is one ``workload`` engine cell armed with a
+:class:`~repro.faults.plan.FaultPlan`, so ``--jobs`` parallelism and
+result caching behave exactly like fig8;
 the per-rate injection seed derives from the base seed and the rate
 only, so both FTLs face the *same* fault pressure at each rate.
 
 With ``--cuts N > 0`` the campaign additionally runs flexFTL through
-``N`` mid-run power cuts with recovery and resume
-(:func:`repro.faults.runner.run_powerloss_resume`), exercising the
-:mod:`repro.core.parity_backup` path against live traffic.
+``N`` mid-run power cuts with recovery and resume (one more cell, with
+``power_cuts=``), exercising the :mod:`repro.core.parity_backup` path
+against live traffic.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import numpy as np
 
 from repro.experiments import registry
 from repro.experiments.engine import (
-    Cell,
     EngineOptions,
     derive_seed,
     run_cells,
+    workload_cell,
 )
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -42,6 +43,7 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.synthetic import mixed_stream
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "flexFTL")
@@ -62,8 +64,6 @@ class FaultCampaignResult:
     grid: Dict[Tuple[str, float], RunResult]
     resume_ftl: Optional[str] = None
     resume_result: Optional[RunResult] = None
-    resume_recoveries: List[Dict[str, object]] = \
-        dataclasses.field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON projection for ``--json``."""
@@ -75,7 +75,6 @@ class FaultCampaignResult:
             data["resume"] = {
                 "ftl": self.resume_ftl,
                 "result": self.resume_result.to_dict(),
-                "recoveries": self.resume_recoveries,
             }
         return data
 
@@ -119,37 +118,32 @@ def run_fault_campaign(
     """Run the ``ftl x program-failure-rate`` grid (plus resume run)."""
     config = campaign_config(config)
     span = experiment_span(config, utilization=utilization, ftls=ftls)
-    streams = build_campaign_streams(span, total_ops, seed)
+    scenario = StreamScenario.from_streams(
+        build_campaign_streams(span, total_ops, seed))
 
     cells = [
-        Cell.make(
-            "fault_workload", label=f"{ftl}@{rate:g}",
-            ftl_name=ftl, streams=streams,
-            plan=FaultPlan(seed=derive_seed(seed, "rate", rate),
-                           program_fail_rate=rate),
-            config=config,
+        workload_cell(
+            ftl, scenario=scenario, config=config,
+            label=f"{ftl}@{rate:g}",
+            faults=FaultPlan(seed=derive_seed(seed, "rate", rate),
+                             program_fail_rate=rate),
         )
         for ftl in ftls for rate in rates
     ]
+    resume_ftl = "flexFTL" if "flexFTL" in ftls else ftls[-1]
+    if cuts > 0:
+        # Cuts land inside the measured phase: a few thousand 1-page
+        # ops at hundreds-of-microseconds programs span tens of ms.
+        cells.append(workload_cell(
+            resume_ftl, scenario=scenario, config=config,
+            label=f"{resume_ftl} resume",
+            power_cuts=[0.004 * (index + 1) for index in range(cuts)]))
     results = run_cells(cells, options=engine, label="fault_campaign")
     keys = [(ftl, float(rate)) for ftl in ftls for rate in rates]
     campaign = FaultCampaignResult(grid=dict(zip(keys, results)))
-
     if cuts > 0:
-        from repro.faults.runner import run_powerloss_resume
-
-        resume_ftl = "flexFTL" if "flexFTL" in ftls else ftls[-1]
-        # Cuts land inside the measured phase: a few thousand 1-page
-        # ops at hundreds-of-microseconds programs span tens of ms.
-        offsets = [0.004 * (index + 1) for index in range(cuts)]
-        resume_result, recoveries = run_powerloss_resume(
-            ftl_name=resume_ftl, streams=streams, cut_offsets=offsets,
-            config=config)
         campaign.resume_ftl = resume_ftl
-        campaign.resume_result = resume_result
-        campaign.resume_recoveries = [
-            dataclasses.asdict(recovery) for recovery in recoveries
-        ]
+        campaign.resume_result = results[-1]
     return campaign
 
 
@@ -158,7 +152,7 @@ def render_fault_campaign(campaign: FaultCampaignResult) -> str:
     rows: List[List[object]] = []
     for (ftl, rate), result in campaign.grid.items():
         faults = result.stats.faults
-        assert faults is not None  # run_fault_workload always attaches
+        assert faults is not None  # a fault plan always attaches them
         rows.append([
             ftl,
             f"{rate:g}",
@@ -198,7 +192,7 @@ def render_fault_campaign(campaign: FaultCampaignResult) -> str:
                 f"{page_faults.lost_pages} pages under the same "
                 f"fault seed")
     if campaign.resume_result is not None:
-        recoveries = campaign.resume_recoveries
+        recoveries = campaign.resume_result.recoveries
         reconstructed = sum(int(r["reconstructed_pages"])
                             for r in recoveries)
         lost = sum(int(r["lost_pages"]) for r in recoveries)

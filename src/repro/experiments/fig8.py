@@ -37,6 +37,7 @@ from repro.experiments.runner import (
 from repro.metrics.bandwidth import cdf_points, peak_ratio
 from repro.metrics.iops import normalize
 from repro.metrics.report import render_grouped_bars, render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 #: Order the paper's figures use.
@@ -192,9 +193,11 @@ def run_fig8(
     coords = []
     for workload in workloads:
         total = max(200, int(base_ops.get(workload, 16000) * scale))
-        streams = build_workload(workload, span, total_ops=total, seed=seed)
+        scenario = StreamScenario.from_streams(
+            build_workload(workload, span, total_ops=total, seed=seed))
         for ftl in ftls:
-            cells.append(workload_cell(ftl, streams, config,
+            cells.append(workload_cell(ftl, scenario=scenario,
+                                       config=config,
                                        label=f"{workload}/{ftl}"))
             coords.append((workload, ftl))
     results = run_cells(cells, options=engine, label="fig8")

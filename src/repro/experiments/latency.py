@@ -25,6 +25,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.latency import summary_row
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "parityFTL", "rtfFTL",
@@ -43,9 +44,10 @@ def run_read_latency_comparison(
     """Run one workload on several FTLs; returns results by FTL name."""
     config = config or ExperimentConfig()
     span = experiment_span(config, utilization=utilization)
-    streams = build_workload(workload, span, total_ops=total_ops,
-                             seed=seed)
-    cells = [workload_cell(ftl, streams, config, label=ftl)
+    scenario = StreamScenario.from_streams(build_workload(
+        workload, span, total_ops=total_ops, seed=seed))
+    cells = [workload_cell(ftl, scenario=scenario, config=config,
+                           label=ftl)
              for ftl in ftls]
     results = run_cells(cells, options=engine, label="latency")
     return dict(zip(ftls, results))

@@ -12,7 +12,8 @@ unfinalised LSB pages with SLC-like margins), RPS-ordered FTLs show
 lower cumulative BER and later ECC-failure onset than FPS at matched
 stress — the grid makes that a measurable, seeded, cacheable result.
 
-Each grid point is one ``physics_workload`` engine cell (PR-1), so
+Each grid point is one ``workload`` engine cell armed with a
+:class:`~repro.reliability.physics.PhysicsConfig`, so
 ``--jobs`` parallelism and result caching behave exactly like fig8;
 the physics seed at each (P/E, retention) point derives from the base
 seed and the stress coordinates only, so every FTL faces the *same*
@@ -26,20 +27,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import registry
 from repro.experiments.engine import (
-    Cell,
     EngineOptions,
     derive_seed,
     run_cells,
+    workload_cell,
 )
 from repro.experiments.runner import (
     FTL_REGISTRY,
     ExperimentConfig,
+    RunResult,
     experiment_span,
 )
 from repro.metrics.report import render_table
 from repro.nand.sequence import SequenceScheme
 from repro.reliability.physics import PhysicsConfig
-from repro.reliability.runner import PhysicsRunResult
 from repro.scenarios.presets import make_preset
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "flexFTL")
@@ -48,11 +49,22 @@ DEFAULT_RETENTION: Sequence[float] = (0.0, 8760.0)
 DEFAULT_SCENARIO = "hot_rewrite"
 
 
+def _mean_ber(result: RunResult) -> float:
+    """Mean rung-0 raw BER over the run's sampled host reads."""
+    return float(result.physics["mean_ber"])  # type: ignore[index]
+
+
+def _first_failure(result: RunResult) -> Optional[int]:
+    """1-based sampled-read index of the first ECC failure, or None."""
+    value = result.physics["first_uncorrectable_read"]  # type: ignore[index]
+    return None if value is None else int(value)
+
+
 @dataclasses.dataclass
 class LifetimePhysicsResult:
     """Grid results of one lifetime-physics sweep."""
 
-    grid: Dict[Tuple[str, int, float], PhysicsRunResult]
+    grid: Dict[Tuple[str, int, float], RunResult]
     scenario: str = DEFAULT_SCENARIO
 
     def to_dict(self) -> Dict[str, object]:
@@ -72,7 +84,7 @@ class LifetimePhysicsResult:
         earlier than the FPS one.
         """
         points: Dict[Tuple[int, float],
-                     Dict[str, PhysicsRunResult]] = {}
+                     Dict[str, RunResult]] = {}
         for (ftl, pe, ret), result in self.grid.items():
             points.setdefault((pe, ret), {})[ftl] = result
         checked = False
@@ -86,10 +98,10 @@ class LifetimePhysicsResult:
             checked = True
             for fps_result in fps:
                 for rps_result in rps:
-                    if rps_result.mean_ber > fps_result.mean_ber:
+                    if _mean_ber(rps_result) > _mean_ber(fps_result):
                         return False
-                    fps_fail = fps_result.first_uncorrectable_read
-                    rps_fail = rps_result.first_uncorrectable_read
+                    fps_fail = _first_failure(fps_result)
+                    rps_fail = _first_failure(rps_result)
                     if rps_fail is not None and (
                             fps_fail is None or rps_fail < fps_fail):
                         return False
@@ -132,18 +144,17 @@ def run_lifetime_physics(
                            seed=derive_seed(seed, "scenario"))
 
     cells = [
-        Cell.make(
-            "physics_workload",
+        workload_cell(
+            ftl,
+            scenario=scenario,
+            config=config,
             label=f"{ftl}@pe{pe:g}/ret{ret:g}",
-            ftl_name=ftl,
-            scenario=scenario.spec(),
             physics=PhysicsConfig(
                 seed=derive_seed(seed, "physics", pe, ret),
                 pe_baseline=pe,
                 retention_baseline_hours=ret,
                 retention_hours_per_second=retention_accel,
             ),
-            config=config,
         )
         for ftl in ftls for pe in pe_cycles for ret in retention_hours
     ]
@@ -179,7 +190,7 @@ def render_lifetime_physics(outcome: LifetimePhysicsResult) -> str:
     )
     lines = [f"scenario: {outcome.scenario}", table]
 
-    points: Dict[Tuple[int, float], Dict[str, PhysicsRunResult]] = {}
+    points: Dict[Tuple[int, float], Dict[str, RunResult]] = {}
     for (ftl, pe, ret), result in outcome.grid.items():
         points.setdefault((pe, ret), {})[ftl] = result
     for (pe, ret) in sorted(points):
@@ -191,16 +202,16 @@ def render_lifetime_physics(outcome: LifetimePhysicsResult) -> str:
         if not fps or not rps:
             continue
         fps_ftl, fps_result = max(fps.items(),
-                                  key=lambda item: item[1].mean_ber)
+                                  key=lambda item: _mean_ber(item[1]))
         rps_ftl, rps_result = min(rps.items(),
-                                  key=lambda item: item[1].mean_ber)
-        if fps_result.mean_ber > 0 \
-                and rps_result.mean_ber < fps_result.mean_ber:
-            ratio = fps_result.mean_ber / max(rps_result.mean_ber, 1e-30)
+                                  key=lambda item: _mean_ber(item[1]))
+        fps_ber, rps_ber = _mean_ber(fps_result), _mean_ber(rps_result)
+        if fps_ber > 0 and rps_ber < fps_ber:
+            ratio = fps_ber / max(rps_ber, 1e-30)
             lines.append(
                 f"pe={pe} ret={ret:g}h: {rps_ftl} (RPS) mean BER "
-                f"{rps_result.mean_ber:.2e} vs {fps_ftl} (FPS) "
-                f"{fps_result.mean_ber:.2e} — {ratio:.1f}x lower under "
+                f"{rps_ber:.2e} vs {fps_ftl} (FPS) "
+                f"{fps_ber:.2e} — {ratio:.1f}x lower under "
                 f"the same error-draw seed")
     if outcome.rps_beats_fps():
         lines.append(

@@ -10,7 +10,7 @@ and the weighted/deficit policies restore isolation by serving the
 victim's submission queue out of arrival order.
 
 The grid is ``ftl x arbiter`` (default: flexFTL and the FPS page-FTL
-across fifo/rr/wrr/drr), one ``qos_workload`` engine cell per point,
+across fifo/rr/wrr/drr), one ``workload`` engine cell per point,
 so ``--jobs``/caching behave exactly like the other experiments.  Two
 paper-relevant effects are visible in the per-tenant numbers:
 
@@ -35,11 +35,14 @@ from repro.experiments.engine import (
     derive_seed,
     run_cells,
 )
-from repro.experiments.runner import ExperimentConfig, experiment_span
+from repro.experiments.runner import (
+    ExperimentConfig,
+    RunResult,
+    experiment_span,
+)
 from repro.metrics.report import render_table
 from repro.qos.arbiter import ARBITERS
 from repro.qos.host import TenantSpec
-from repro.qos.runner import QosRunResult
 from repro.workloads.synthetic import burst_stream, mixed_stream
 
 DEFAULT_FTLS: Sequence[str] = ("flexFTL", "pageFTL")
@@ -110,7 +113,7 @@ def run_qos_isolation(
     seed: int = 1,
     config: Optional[ExperimentConfig] = None,
     engine: Optional[EngineOptions] = None,
-) -> Dict[Tuple[str, str], QosRunResult]:
+) -> Dict[Tuple[str, str], RunResult]:
     """Run the grid; returns results keyed by ``(ftl, arbiter)``."""
     for name in arbiters:
         if name not in ARBITERS:
@@ -120,7 +123,7 @@ def run_qos_isolation(
     span = experiment_span(config, utilization=utilization, ftls=ftls)
     tenants = build_noisy_neighbor(span, total_ops, seed)
     cells = [
-        Cell.make("qos_workload", label=f"{ftl}/{arbiter}",
+        Cell.make("workload", label=f"{ftl}/{arbiter}",
                   ftl_name=ftl, tenants=tenants, arbiter=arbiter,
                   config=config, max_outstanding=max_outstanding)
         for ftl in ftls for arbiter in arbiters
@@ -130,14 +133,18 @@ def run_qos_isolation(
     return dict(zip(keys, results))
 
 
+def _victim_write_p99(result: RunResult) -> float:
+    return float(result.tenants["victim"]["write_latency"]["p99"])
+
+
 def render_qos_isolation(
-        results: Dict[Tuple[str, str], QosRunResult]) -> str:
+        results: Dict[Tuple[str, str], RunResult]) -> str:
     """The per-cell table plus a FIFO-vs-weighted isolation headline."""
     unit = 1e-3
     rows: List[List[object]] = []
     for (ftl, arbiter), result in results.items():
-        victim = result.tenant("victim")
-        noisy = result.tenant("noisy")
+        victim = result.tenants["victim"]
+        noisy = result.tenants["noisy"]
         rows.append([
             ftl,
             arbiter,
@@ -146,7 +153,7 @@ def render_qos_isolation(
             int(victim["read_violations"]) + int(victim["write_violations"]),
             f"{float(victim['queue']['mean_depth']):.2f}",
             f"{float(noisy['write_latency']['p99']) / unit:.3f}",
-            f"{float(result.totals['iops']):.0f}",
+            f"{result.iops:.0f}",
         ])
     table = render_table(
         ["FTL", "arbiter", "victim wp99 [ms]", "victim rp99 [ms]",
@@ -160,14 +167,14 @@ def render_qos_isolation(
         if fifo is None:
             continue
         weighted = [
-            (arbiter, results[(ftl, arbiter)].write_p99("victim"))
+            (arbiter, _victim_write_p99(results[(ftl, arbiter)]))
             for arbiter in ("wrr", "drr")
             if (ftl, arbiter) in results
         ]
         if not weighted:
             continue
         best_arbiter, best = min(weighted, key=lambda pair: pair[1])
-        base = fifo.write_p99("victim")
+        base = _victim_write_p99(fifo)
         if best > 0:
             lines.append(
                 f"{ftl}: victim p99 write latency "

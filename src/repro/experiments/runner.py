@@ -1,4 +1,4 @@
-"""System assembly and measured runs for the evaluation experiments.
+"""System assembly and the measured run behind every experiment.
 
 The paper's testbed is a 16 GB BlueDBM slice; a pure-Python DES cannot
 replay multi-gigabyte workloads in reasonable time, so experiments
@@ -7,17 +7,27 @@ default to :data:`EXPERIMENT_GEOMETRY`, a proportionally scaled device
 block).  Every run preconditions the device with a full sequential
 fill, then measures the workload phase only (fresh statistics, counter
 deltas), which is standard SSD evaluation methodology.
+
+:func:`run_workload` is the one measured-run function.  Its keywords
+arm the optional subsystems — a tracer, runtime fault injection, the
+physics error engine, scheduled power cuts with recovery, and the
+multi-tenant QoS front-end — on the same build -> warm-up -> measured
+phase pipeline; :func:`prepare_measured_run` is that pipeline stopped
+just after the host starts, which is how a fleet
+:class:`~repro.fleet.device.DeviceRun` positions itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.flexftl import FlexFtl
 from repro.core.page_allocator import PolicyConfig
 from repro.core.predictor import EwmaBurstPredictor
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.faults.recovery import recover_after_power_loss
 from repro.ftl.base import BaseFtl, FtlConfig
 from repro.ftl.pageftl import PageFtl
 from repro.ftl.parityftl import ParityFtl
@@ -27,10 +37,16 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
+from repro.qos.host import (
+    MultiTenantHost,
+    TenantSpec,
+    tenant_specs_from_scenario,
+)
+from repro.reliability.physics import PhysicsConfig, PhysicsEngine
 from repro.scenarios.base import (
+    CLOSED,
     OPEN,
     Scenario,
-    StreamScenario,
     as_scenario,
 )
 from repro.scenarios.host import (
@@ -38,8 +54,9 @@ from repro.scenarios.host import (
     StreamingTraceReplayHost,
 )
 from repro.sim.controller import StorageController
-from repro.sim.host import ClosedLoopHost, StreamOp
+from repro.sim.host import ClosedLoopHost
 from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.powerloss import ScheduledPowerLoss
 from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
 from repro.workloads.synthetic import sequential_fill
@@ -126,13 +143,24 @@ class ExperimentConfig:
 
 @dataclasses.dataclass
 class RunResult:
-    """Outcome of one measured workload run."""
+    """Outcome of one measured workload run.
+
+    The optional sections are filled by the subsystem that produced
+    them and are ``None`` otherwise: ``physics`` holds the error
+    engine's summary, ``tenants`` the per-tenant QoS accounting (SLO
+    summary plus submission-queue statistics) keyed by tenant name, and
+    ``recoveries`` one :class:`~repro.faults.recovery.PowerLossRecovery`
+    (as a dict) per fired power cut.
+    """
 
     ftl_name: str
     stats: SimStats
     counters: Dict[str, int]
     events: int
     logical_pages: int
+    physics: Optional[Dict[str, Any]] = None
+    tenants: Optional[Dict[str, Dict[str, Any]]] = None
+    recoveries: Optional[List[Dict[str, Any]]] = None
 
     @property
     def iops(self) -> float:
@@ -172,15 +200,22 @@ class RunResult:
         """JSON-safe snapshot shared by the result cache and ``--json``.
 
         Invertible: ``RunResult.from_dict(r.to_dict()) == r``, exactly
-        (floats survive a JSON round trip bit-for-bit).
+        (floats survive a JSON round trip bit-for-bit).  Absent optional
+        sections are omitted, so a plain run's dict has the five base
+        keys only.
         """
-        return {
+        data: Dict[str, object] = {
             "ftl_name": self.ftl_name,
             "stats": self.stats.to_dict(),
             "counters": dict(self.counters),
             "events": self.events,
             "logical_pages": self.logical_pages,
         }
+        for name in _SECTIONS:
+            value = getattr(self, name)
+            if value is not None:
+                data[name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunResult":
@@ -192,7 +227,12 @@ class RunResult:
                       for k, v in data["counters"].items()},  # type: ignore[union-attr]
             events=int(data["events"]),  # type: ignore[arg-type]
             logical_pages=int(data["logical_pages"]),  # type: ignore[arg-type]
+            **{name: data[name] for name in _SECTIONS if name in data},
         )
+
+
+#: The optional :class:`RunResult` sections, in serialization order.
+_SECTIONS = ("physics", "tenants", "recoveries")
 
 
 def build_system(
@@ -241,10 +281,6 @@ def build_system(
     return sim, array, buffer, ftl, controller
 
 
-def _snapshot(ftl: BaseFtl) -> Dict[str, int]:
-    return dict(ftl.counters())
-
-
 #: The paper's Figure 8 contenders (slcFTL is a related-work extra
 #: with half the logical space; including it would shrink every
 #: comparison's footprint).
@@ -275,32 +311,6 @@ def experiment_span(config: Optional[ExperimentConfig] = None,
     return max(1, int(smallest * utilization))
 
 
-def coerce_scenario(streams: Optional[Sequence[Sequence[StreamOp]]],
-                    scenario: Any, caller: str,
-                    deprecate_streams: bool = False) -> Scenario:
-    """Resolve a runner's ``streams=``/``scenario=`` pair.
-
-    Exactly one of the two must be given.  ``streams`` wraps into a
-    :class:`~repro.scenarios.base.StreamScenario` (the legacy adapter,
-    byte-identical to the pre-scenario code path); ``scenario``
-    accepts a :class:`~repro.scenarios.base.Scenario` or its spec dict
-    (how engine cells carry scenarios across process boundaries).
-    """
-    if (streams is None) == (scenario is None):
-        raise TypeError(
-            f"{caller}() takes exactly one of streams= (legacy) or "
-            f"scenario=")
-    if streams is not None:
-        if deprecate_streams:
-            warnings.warn(
-                f"{caller}(streams=...) is deprecated; wrap the "
-                f"streams in repro.scenarios.StreamScenario (or use a "
-                f"WorkloadScenario/TraceScenario) and pass scenario=",
-                DeprecationWarning, stacklevel=3)
-        return StreamScenario.from_streams(streams)
-    return as_scenario(scenario)
-
-
 def warmup_device(sim: Simulator, controller: StorageController,
                   ftl: BaseFtl, config: ExperimentConfig, *,
                   footprint: Optional[int] = None,
@@ -308,9 +318,9 @@ def warmup_device(sim: Simulator, controller: StorageController,
                   max_events: Optional[int] = None) -> None:
     """Precondition the device with a full sequential fill.
 
-    The shared warmup of all three measured runners (workload, QoS,
-    fault).  Fills ``warmup_span`` logical pages — defaulting to the
-    workload's ``footprint``, clamped to the FTL's logical space; an
+    The warm-up stage of :func:`prepare_measured_run`.  Fills
+    ``warmup_span`` logical pages — defaulting to the workload's
+    ``footprint``, clamped to the FTL's logical space; an
     unknown footprint (a foreign trace without metadata) fills the
     whole logical space.  No-op when ``config.warmup`` is off.
     """
@@ -337,7 +347,7 @@ def begin_measured_phase(controller: StorageController, ftl: BaseFtl,
     Returns ``(baseline, measured_stats)``; the run's deltas are
     ``final - baseline`` so warmup traffic never pollutes a report.
     """
-    baseline = _snapshot(ftl)
+    baseline = dict(ftl.counters())
     measured_stats = SimStats(page_size=config.geometry.page_size,
                               bandwidth_window=config.bandwidth_window)
     controller.stats = measured_stats
@@ -360,82 +370,285 @@ def scenario_host(sim: Simulator, controller: StorageController,
                                    scenario=scenario)
 
 
-def run_workload(
+@dataclasses.dataclass
+class MeasuredRun:
+    """A built, preconditioned system whose measured phase has begun.
+
+    Returned by :func:`prepare_measured_run` with the host started and
+    nothing yet simulated past the warm-up; :func:`run_workload` drives
+    it to completion, a fleet device advances it in quanta.
+    """
+
+    sim: Simulator
+    array: NandArray
+    buffer: WriteBuffer
+    ftl: BaseFtl
+    controller: StorageController
+    host: Any
+    #: FTL counters at the start of the measured phase
+    baseline: Dict[str, int]
+    #: the measured phase's statistics (the controller's ``stats``)
+    stats: SimStats
+    #: whether the host is the multi-tenant QoS front-end
+    qos: bool
+    engine: Optional[PhysicsEngine] = None
+    power: Optional[ScheduledPowerLoss] = None
+
+
+def _resolve_workload(
+    scenario: Any, tenants: Optional[Sequence[TenantSpec]],
+    arbiter: Optional[str],
+) -> Tuple[Optional[Scenario], Optional[List[TenantSpec]], Optional[int]]:
+    """Resolve the workload source into ``(scenario, tenants, footprint)``.
+
+    Exactly one of ``scenario`` and ``tenants`` must be given.  A
+    tenant list runs behind the QoS front-end and warms up to the
+    highest page it touches.  A scenario runs behind it only when an
+    ``arbiter`` is named and the scenario declares tenant bindings; it
+    warms up to its declared footprint either way.
+    """
+    if (scenario is None) == (tenants is None):
+        raise TypeError(
+            "run_workload() takes exactly one of scenario= or tenants=")
+    if tenants is not None:
+        touched = [op.lpn + op.npages for spec in tenants
+                   for stream in spec.streams for op in stream]
+        return None, list(tenants), max(touched) if touched else 1
+    workload = as_scenario(scenario)
+    if arbiter is not None and workload.tenant_bindings():
+        return workload, tenant_specs_from_scenario(workload), \
+            workload.footprint
+    return workload, None, workload.footprint
+
+
+def prepare_measured_run(
     *,
     ftl_name: str,
-    streams: Optional[Sequence[Sequence[StreamOp]]] = None,
     scenario: Any = None,
+    tenants: Optional[Sequence[TenantSpec]] = None,
     config: Optional[ExperimentConfig] = None,
     max_events: Optional[int] = None,
     warmup_span: Optional[int] = None,
     tracer: Optional[object] = None,
-) -> RunResult:
-    """Precondition, run one workload, and report measured-phase results.
+    faults: Optional[FaultPlan] = None,
+    physics: Optional[PhysicsConfig] = None,
+    power_cuts: Optional[Sequence[float]] = None,
+    arbiter: Optional[str] = None,
+    max_outstanding: Optional[int] = 8,
+    max_pending_admissions: Optional[int] = None,
+) -> MeasuredRun:
+    """Build, precondition and start one measured run.
 
-    All parameters are keyword-only: call sites used to pass
-    ``(ftl, streams, config)`` positionally, an argument order that is
-    easy to swap silently and that the engine's serialized
-    :class:`~repro.experiments.engine.Cell` spec cannot tolerate.
-
-    Args:
-        ftl_name: a :data:`FTL_REGISTRY` key.
-        scenario: the workload — a
-            :class:`~repro.scenarios.base.Scenario` or its spec dict
-            (see :mod:`repro.scenarios`); closed-mode scenarios drive
-            synchronous worker streams, open-mode ones replay timed
-            arrivals.
-        streams: *deprecated* — legacy closed-loop stream lists;
-            wrapped into a
-            :class:`~repro.scenarios.base.StreamScenario` with a
-            :class:`DeprecationWarning`.  Mutually exclusive with
-            ``scenario``.
-        config: system configuration.
-        max_events: optional simulation event cap (safety backstop).
-        warmup_span: logical pages to precondition (defaults to the
-            scenario's declared footprint).
-        tracer: optional :class:`~repro.observability.tracer.Tracer`;
-            when given (and enabled) it is installed for the whole run
-            with ``warmup``/``measured`` profiling phases, its metrics
-            registry is attached to the measured stats, and it is
-            detached before returning.  ``None`` (the default) leaves
-            the run untouched.
-
-    Returns:
-        A :class:`RunResult` whose statistics and counters cover only
-        the measured phase (warmup excluded).
+    Takes :func:`run_workload`'s keywords and stops where the
+    simulation of the measured phase would begin.  Unsupported
+    combinations raise ``ValueError`` before anything is built.
     """
-    workload = coerce_scenario(streams, scenario, "run_workload",
-                               deprecate_streams=True)
     config = config or ExperimentConfig()
-    sim, array, buffer, ftl, controller = build_system(ftl_name, config)
+    workload, tenant_specs, footprint = _resolve_workload(
+        scenario, tenants, arbiter)
+    if physics is not None and not config.track_history:
+        raise ValueError(
+            "physics= needs config.track_history=True: the engine "
+            "primes aggressor counts from block histories")
+    if power_cuts is not None:
+        if not power_cuts:
+            raise ValueError("power_cuts must not be empty")
+        if tenant_specs is not None:
+            raise ValueError(
+                "power_cuts= cannot combine with a multi-tenant run: "
+                "the QoS front-end cannot resume after a cut")
+        if workload.mode != CLOSED:  # type: ignore[union-attr]
+            raise ValueError(
+                "power_cuts= needs a closed-mode scenario: open-loop "
+                "replay cannot retry an op lost to a power cut")
 
+    sim, array, buffer, ftl, controller = build_system(ftl_name, config)
+    if faults is not None:
+        for chip, block in faults.factory_bad:
+            ftl.mark_factory_bad(chip, block)
     tracing = tracer is not None and getattr(tracer, "enabled", True)
     if tracing:
         tracer.install(controller)
         tracer.begin_phase("warmup")
 
-    warmup_device(sim, controller, ftl, config,
-                  footprint=workload.footprint,
+    warmup_device(sim, controller, ftl, config, footprint=footprint,
                   warmup_span=warmup_span, max_events=max_events)
-    baseline, measured_stats = begin_measured_phase(controller, ftl,
-                                                    config)
+    baseline, stats = begin_measured_phase(controller, ftl, config)
 
+    # The warm-up stays fault- and physics-free: campaigns at different
+    # rates start from the same preconditioned state.
+    if faults is not None or power_cuts is not None:
+        ftl.fault_stats = controller.ensure_fault_stats()
+        if ftl.degraded and not controller.read_only:
+            # The factory bad-block table alone exhausted the reserve.
+            controller._enter_read_only()
     if tracing:
         tracer.begin_phase("measured")
-    host = scenario_host(sim, controller, workload)
-    host.start()
-    sim.run(max_events=max_events)
-    if tracing:
-        tracer.finish()
-        measured_stats.metrics = tracer.metrics
-        tracer.detach()
+    engine = None
+    if physics is not None:
+        engine = PhysicsEngine(physics)
+        controller.attach_physics(engine)
+    if faults is not None and faults.enabled:
+        controller.attach_fault_injector(
+            FaultInjector(faults, page_size=config.geometry.page_size))
 
-    final = _snapshot(ftl)
-    deltas = {key: final[key] - baseline.get(key, 0) for key in final}
+    if tenant_specs is not None:
+        host: Any = MultiTenantHost(
+            sim, controller, tenant_specs,
+            arbiter=arbiter or "fifo", max_outstanding=max_outstanding,
+            max_pending_admissions=max_pending_admissions)
+        if tracing:
+            tracer.attach_qos(host)
+    else:
+        host = scenario_host(sim, controller,
+                             workload)  # type: ignore[arg-type]
+    power = None
+    if power_cuts is not None:
+        power = ScheduledPowerLoss(
+            sim, controller,
+            at_times=[sim.now + offset for offset in power_cuts])
+    host.start()
+    return MeasuredRun(sim=sim, array=array, buffer=buffer, ftl=ftl,
+                       controller=controller, host=host,
+                       baseline=baseline, stats=stats,
+                       qos=tenant_specs is not None, engine=engine,
+                       power=power)
+
+
+def _tenant_sections(host: MultiTenantHost) -> Dict[str, Dict[str, Any]]:
+    """Per-tenant SLO summaries plus submission-queue statistics."""
+    summaries = host.accountant.summary()
+    sections: Dict[str, Dict[str, Any]] = {}
+    for index, spec in enumerate(host.tenants):
+        queue = host.queues[index]
+        bucket = host.buckets[index]
+        summary = dict(summaries.get(spec.name, {}))
+        summary["queue"] = {
+            "enqueued": queue.enqueued,
+            "issued": queue.issued,
+            "max_depth": queue.max_depth_seen,
+            "mean_depth": queue.mean_depth(),
+        }
+        summary["weight"] = spec.weight
+        summary["throttled_decisions"] = (
+            bucket.throttled_decisions if bucket is not None else 0)
+        sections[spec.name] = summary
+    return sections
+
+
+def _drive(run: MeasuredRun, max_events: Optional[int]
+           ) -> Optional[List[Dict[str, Any]]]:
+    """Simulate a prepared run to completion, recovering every power
+    cut that fires; returns the recoveries (None without cuts)."""
+    sim, controller, power = run.sim, run.controller, run.power
+    if power is None:
+        sim.run(max_events=max_events)
+        return None
+    recoveries: List[Dict[str, Any]] = []
+    while True:
+        sim.run(max_events=max_events)
+        if len(power.reports) <= len(recoveries):
+            break  # ran to completion: no new cut fired
+        report = power.reports[len(recoveries)]
+        recoveries.append(dataclasses.asdict(
+            recover_after_power_loss(controller, report)))
+        run.host.resume()
+        power.arm_next()
+        # Kick the drained device back into motion: the resumed
+        # streams arrive via events, but redrive/salvage work must
+        # start even on chips no stream touches.
+        controller._pump()
+    power.cancel()
+    return recoveries
+
+
+def run_workload(
+    *,
+    ftl_name: str,
+    scenario: Any = None,
+    tenants: Optional[Sequence[TenantSpec]] = None,
+    config: Optional[ExperimentConfig] = None,
+    max_events: Optional[int] = None,
+    warmup_span: Optional[int] = None,
+    tracer: Optional[object] = None,
+    faults: Optional[FaultPlan] = None,
+    physics: Optional[PhysicsConfig] = None,
+    power_cuts: Optional[Sequence[float]] = None,
+    arbiter: Optional[str] = None,
+    max_outstanding: Optional[int] = 8,
+    max_pending_admissions: Optional[int] = None,
+) -> RunResult:
+    """Precondition, run one workload, and report measured-phase results.
+
+    All parameters are keyword-only (the engine's serialized
+    :class:`~repro.experiments.engine.Cell` carries them by name).  The
+    warm-up is always plain: tracing covers it as its own phase, but
+    faults, physics and power cuts arm only for the measured phase.
+
+    Args:
+        ftl_name: a :data:`FTL_REGISTRY` key.
+        scenario: the workload — a
+            :class:`~repro.scenarios.base.Scenario` or its spec dict;
+            closed-mode scenarios drive synchronous worker streams,
+            open-mode ones replay timed arrivals.
+        tenants: instead of ``scenario``, per-tenant
+            :class:`~repro.qos.host.TenantSpec` workloads run behind
+            the QoS front-end.
+        config: system configuration.
+        max_events: optional simulation event cap (safety backstop).
+        warmup_span: logical pages to precondition (defaults to the
+            workload's footprint).
+        tracer: optional :class:`~repro.observability.tracer.Tracer`,
+            installed for the whole run with ``warmup``/``measured``
+            phases; its metrics registry lands in ``stats.metrics``.
+        faults: a :class:`~repro.faults.plan.FaultPlan` armed for the
+            measured phase; ``stats.faults`` is attached even when the
+            plan injects nothing.
+        physics: a :class:`~repro.reliability.physics.PhysicsConfig`;
+            the error engine is armed for the measured phase and its
+            summary fills ``RunResult.physics``.  Needs
+            ``config.track_history``.
+        power_cuts: seconds after the measured phase starts at which
+            power fails; each cut is recovered and the host resumes.
+            Fills ``RunResult.recoveries`` (a cut after the workload
+            ends never fires).  Closed-mode scenarios only.
+        arbiter: QoS arbitration policy; with a tenant-tagged scenario
+            it selects the QoS front-end (``tenants=`` defaults to
+            ``"fifo"``).  Fills ``RunResult.tenants``.
+        max_outstanding: QoS admission-gate in-flight bound.
+        max_pending_admissions: optional QoS write-backlog bound.
+
+    Returns:
+        A :class:`RunResult` whose statistics and counters cover only
+        the measured phase.
+    """
+    try:
+        run = prepare_measured_run(
+            ftl_name=ftl_name, scenario=scenario, tenants=tenants,
+            config=config, max_events=max_events,
+            warmup_span=warmup_span, tracer=tracer, faults=faults,
+            physics=physics, power_cuts=power_cuts, arbiter=arbiter,
+            max_outstanding=max_outstanding,
+            max_pending_admissions=max_pending_admissions)
+        recoveries = _drive(run, max_events)
+        if tracer is not None and getattr(tracer, "enabled", True):
+            tracer.finish()
+            run.stats.metrics = tracer.metrics
+    finally:
+        # also after a failed run: an installed tracer holds the
+        # process-wide GC thresholds it relaxed
+        if tracer is not None:
+            tracer.detach()
+
+    final = dict(run.ftl.counters())
     return RunResult(
         ftl_name=ftl_name,
-        stats=measured_stats,
-        counters=deltas,
-        events=sim.processed,
-        logical_pages=ftl.logical_pages,
+        stats=run.stats,
+        counters={key: final[key] - run.baseline.get(key, 0)
+                  for key in final},
+        events=run.sim.processed,
+        logical_pages=run.ftl.logical_pages,
+        physics=run.engine.summary() if run.engine is not None else None,
+        tenants=_tenant_sections(run.host) if run.qos else None,
+        recoveries=recoveries,
     )

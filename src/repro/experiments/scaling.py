@@ -23,6 +23,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.report import render_table
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 
@@ -86,8 +87,9 @@ def run_scaling_study(
         streams = build_workload(workload, span,
                                  total_ops=ops_per_chip * chips,
                                  seed=seed)
-        cells.append(workload_cell(ftl, streams, config,
-                                   label=f"{chips} chips"))
+        cells.append(workload_cell(
+            ftl, scenario=StreamScenario.from_streams(streams),
+            config=config, label=f"{chips} chips"))
         chip_counts.append(chips)
     results = run_cells(cells, options=engine, label="scaling")
     return ScalingResult(points=list(zip(chip_counts, results)))

@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import PROFILES, build_workload
 
 
@@ -42,10 +43,11 @@ def run_single(
     """
     config = ExperimentConfig(flex_use_predictor=predictor)
     span = experiment_span(config, utilization=utilization)
-    streams = build_workload(workload, span, total_ops=total_ops,
-                             seed=seed)
+    scenario = StreamScenario.from_streams(build_workload(
+        workload, span, total_ops=total_ops, seed=seed))
     (result,) = run_cells(
-        [workload_cell(ftl, streams, config, label=f"{workload}/{ftl}")],
+        [workload_cell(ftl, scenario=scenario, config=config,
+                       label=f"{workload}/{ftl}")],
         options=engine, label="run")
     return span, result
 

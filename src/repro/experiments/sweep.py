@@ -32,6 +32,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 #: Maps one parameter combination to a config.
@@ -79,19 +80,19 @@ def run_sweep(
     if not axes:
         raise ValueError("need at least one axis")
     names = list(axes)
-    stream_cache: Dict[int, object] = {}
+    scenarios: Dict[int, StreamScenario] = {}
     cells = []
     combos: List[Dict[str, object]] = []
     for combo in itertools.product(*(axes[name] for name in names)):
         params = dict(zip(names, combo))
         config = config_builder(params)
         span = experiment_span(config, utilization=utilization)
-        if span not in stream_cache:
-            stream_cache[span] = build_workload(
-                workload, span, total_ops=total_ops, seed=seed)
-        streams = stream_cache[span]
+        if span not in scenarios:
+            scenarios[span] = StreamScenario.from_streams(build_workload(
+                workload, span, total_ops=total_ops, seed=seed))
         label = " ".join(f"{k}={v}" for k, v in params.items())
-        cells.append(workload_cell(ftl, streams, config, label=label))  # type: ignore[arg-type]
+        cells.append(workload_cell(ftl, scenario=scenarios[span],
+                                   config=config, label=label))
         combos.append(params)
     results = run_cells(cells, options=engine, label="sweep")
     return [SweepRow(params=params, result=result)

@@ -13,9 +13,9 @@ Everything defaults to off: a run without an armed
 :class:`~repro.faults.injector.FaultInjector` is byte-identical to one
 built before this package existed.
 
-(:mod:`repro.faults.runner` — measured fault campaigns and
-power-loss/resume runs — is imported on demand, not re-exported here:
-it pulls in :mod:`repro.experiments.runner`.)
+Measured runs arm a plan with ``run_workload(faults=...)`` and
+power-loss/resume with ``run_workload(power_cuts=...)`` (see
+:mod:`repro.experiments.runner`).
 """
 
 from repro.faults.badblocks import BadBlockManager

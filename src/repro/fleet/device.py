@@ -22,15 +22,12 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.experiments.runner import (
     ExperimentConfig,
     FTL_REGISTRY,
-    begin_measured_phase,
-    build_system,
-    scenario_host,
-    warmup_device,
+    prepare_measured_run,
 )
 from repro.fleet.snapshot import (
     SnapshotError,
@@ -39,8 +36,6 @@ from repro.fleet.snapshot import (
     read_snapshot_header,
     write_snapshot,
 )
-from repro.qos.host import MultiTenantHost
-from repro.scenarios.base import Scenario, scenario_from_spec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,27 +142,18 @@ class DeviceRun:
 
     @classmethod
     def build(cls, spec: DeviceSpec) -> "DeviceRun":
-        """Build, precondition and start a device from its spec."""
-        sim, array, buffer, ftl, controller = build_system(
-            spec.ftl_name, spec.config)
-        scenario = scenario_from_spec(spec.scenario)
-        warmup_device(sim, controller, ftl, spec.config,
-                      footprint=scenario.footprint)
-        baseline, _stats = begin_measured_phase(controller, ftl,
-                                                spec.config)
-        qos = spec.arbiter is not None and bool(
-            scenario.tenant_bindings())
-        if qos:
-            from repro.qos.runner import tenant_specs_from_scenario
-            tenants = tenant_specs_from_scenario(scenario)
-            host = MultiTenantHost(
-                sim, controller, tenants, arbiter=spec.arbiter,
-                max_outstanding=spec.max_outstanding)
-        else:
-            host = scenario_host(sim, controller, scenario)
-        host.start()
-        return cls(spec, sim, array, buffer, ftl, controller, host,
-                   baseline, qos)
+        """Build, precondition and start a device from its spec.
+
+        The same pipeline as
+        :func:`~repro.experiments.runner.run_workload`, stopped where
+        the measured phase begins.
+        """
+        run = prepare_measured_run(
+            ftl_name=spec.ftl_name, scenario=spec.scenario,
+            config=spec.config, arbiter=spec.arbiter,
+            max_outstanding=spec.max_outstanding)
+        return cls(spec, run.sim, run.array, run.buffer, run.ftl,
+                   run.controller, run.host, run.baseline, run.qos)
 
     # ------------------------------------------------------------------
     # driving

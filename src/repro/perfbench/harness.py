@@ -3,10 +3,13 @@
 Methodology
 -----------
 
-Each workload is timed on a **fresh system** (new simulator, device and
-FTL) so runs are independent and deterministic.  The timed region
-covers the sequential-fill warm-up *and* the measured workload: the
-warm-up is itself write-pipeline work and excluding it would flatter
+Each workload is timed as one
+:func:`~repro.experiments.runner.run_workload` call — the same
+pipeline every experiment runs — on a **fresh system** (new simulator,
+device and FTL) so runs are independent and deterministic.  The timed
+region covers the system build (about a millisecond), the
+sequential-fill warm-up *and* the measured workload: the warm-up is
+itself write-pipeline work and excluding it would flatter
 configurations that shift cost into preconditioning.  The metric is
 simulator events per second (``sim.processed / wall``), the rate the
 event kernel retires scheduled events; host operations per second is
@@ -36,13 +39,18 @@ import platform
 import statistics
 import time
 from math import isqrt
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.experiments.runner import ExperimentConfig, build_system
+from repro.experiments.runner import (
+    ExperimentConfig,
+    build_system,
+    run_workload,
+)
 from repro.nand.geometry import NandGeometry
-from repro.qos.host import MultiTenantHost, TenantSpec
+from repro.qos.host import TenantSpec
+from repro.scenarios.base import StreamScenario
 from repro.sim._native import active_core
-from repro.sim.host import ClosedLoopHost, StreamOp
+from repro.sim.host import StreamOp
 from repro.workloads.benchmarks import WorkloadProfile, build_workload
 from repro.workloads.synthetic import sequential_fill
 
@@ -128,6 +136,14 @@ def sweep_geometry(multiplier: int) -> NandGeometry:
         page_size=4096,
     )
 
+
+def _bench_span(config: ExperimentConfig) -> int:
+    """Benchmark footprint: :data:`BENCH_UTILIZATION` of the FTL's
+    logical space."""
+    _, _, _, ftl, _ = build_system(BENCH_FTL, config)
+    return max(1, int(ftl.logical_pages * BENCH_UTILIZATION))
+
+
 #: 50/50 read/write Zipf mix: exercises the read path (mapping lookup,
 #: address decode, chip read) alongside the write pipeline.
 ZIPF_PROFILE = WorkloadProfile(
@@ -187,7 +203,7 @@ QOS_WORKLOADS: Dict[str, Callable[[int, float, int],
     "qos_mix": _qos_mix,
 }
 
-#: Opt-in streaming-replay benchmark (see :func:`time_scenario_replay`).
+#: Opt-in streaming-replay benchmark (see :func:`_scenario_replay_case`).
 SCENARIO_REPLAY = "scenario_replay"
 
 #: Preset the replay benchmark exports and streams back (fileserver is
@@ -292,210 +308,53 @@ class PerfbenchResult:
         return "\n".join(rows)
 
 
-def time_workload(name: str, streams: Sequence[List[StreamOp]],
-                  config: ExperimentConfig,
-                  warmup_span: int) -> WorkloadTiming:
-    """Time one workload on a freshly built system.
+def time_run(name: str, config: ExperimentConfig, warmup_span: int,
+             **workload: Any) -> WorkloadTiming:
+    """Time one :func:`~repro.experiments.runner.run_workload` call.
 
-    The warm-up fill runs inside the timed region (see the module
-    docstring); ``events`` counts every kernel event of fill plus
-    workload, ``host_ops`` every host request of both phases.
+    ``workload`` holds the run's remaining keywords (``scenario=`` or
+    ``tenants=``, and any subsystem to arm).  The whole measured-run
+    pipeline is timed — system build, warm-up fill and measured
+    workload (see the module docstring); ``events`` counts every
+    kernel event of both phases, ``host_ops`` every host request of
+    both.
     """
-    sim, _array, _buffer, _ftl, controller = build_system(BENCH_FTL,
-                                                          config)
-    host_ops = sum(len(s) for s in streams)
+    fill_ops = len(sequential_fill(warmup_span))
     with _quiesced_gc():
         start = time.perf_counter()
-        fill = sequential_fill(warmup_span)
-        warm = ClosedLoopHost(sim, controller, [fill])
-        warm.start()
-        sim.run()
-        host = ClosedLoopHost(sim, controller, list(streams))
-        host.start()
-        sim.run()
+        result = run_workload(ftl_name=BENCH_FTL, config=config,
+                              warmup_span=warmup_span, **workload)
         wall = time.perf_counter() - start
-    total_ops = host_ops + len(fill)
+    host_ops = fill_ops + result.stats.completed_requests
     return WorkloadTiming(
         name=name,
-        events=sim.processed,
-        host_ops=total_ops,
+        events=result.events,
+        host_ops=host_ops,
         wall_seconds=wall,
-        events_per_sec=sim.processed / wall,
-        host_ops_per_sec=total_ops / wall,
+        events_per_sec=result.events / wall,
+        host_ops_per_sec=host_ops / wall,
     )
 
 
-def time_qos_workload(name: str, tenants: Sequence[TenantSpec],
-                      config: ExperimentConfig,
-                      warmup_span: int) -> WorkloadTiming:
-    """Time one multi-tenant workload through the QoS front-end.
-
-    Same methodology as :func:`time_workload` (fresh system, warm-up
-    fill inside the timed region), but the measured phase runs a
-    :class:`~repro.qos.host.MultiTenantHost` with per-tenant
-    submission queues and :data:`QOS_ARBITER` arbitration — the number
-    this produces covers the whole QoS dispatch path, not just the
-    simulation core.
-    """
-    sim, _array, _buffer, _ftl, controller = build_system(BENCH_FTL,
-                                                          config)
-    host_ops = sum(spec.total_ops for spec in tenants)
-    with _quiesced_gc():
-        start = time.perf_counter()
-        fill = sequential_fill(warmup_span)
-        warm = ClosedLoopHost(sim, controller, [fill])
-        warm.start()
-        sim.run()
-        host = MultiTenantHost(sim, controller, list(tenants),
-                               arbiter=QOS_ARBITER)
-        host.start()
-        sim.run()
-        wall = time.perf_counter() - start
-    total_ops = host_ops + len(fill)
-    return WorkloadTiming(
-        name=name,
-        events=sim.processed,
-        host_ops=total_ops,
-        wall_seconds=wall,
-        events_per_sec=sim.processed / wall,
-        host_ops_per_sec=total_ops / wall,
-    )
-
-
-def time_traced_workload(name: str, streams: Sequence[List[StreamOp]],
-                         config: ExperimentConfig,
-                         warmup_span: int) -> WorkloadTiming:
-    """Time one workload with a :class:`Tracer` armed.
-
-    Identical timed region to :func:`time_workload` — fresh system,
-    warm-up fill included — with the tracer installed before the clock
-    starts and its ``warmup``/``measured`` phase bookkeeping inside the
-    region, exactly how a real traced run pays for it.
-    """
-    from repro.observability.tracer import Tracer
-
-    sim, _array, _buffer, _ftl, controller = build_system(BENCH_FTL,
-                                                          config)
-    host_ops = sum(len(s) for s in streams)
-    tracer = Tracer()
-    tracer.install(controller)
-    with _quiesced_gc():
-        start = time.perf_counter()
-        tracer.begin_phase("warmup")
-        fill = sequential_fill(warmup_span)
-        warm = ClosedLoopHost(sim, controller, [fill])
-        warm.start()
-        sim.run()
-        tracer.begin_phase("measured")
-        host = ClosedLoopHost(sim, controller, list(streams))
-        host.start()
-        sim.run()
-        tracer.finish()
-        wall = time.perf_counter() - start
-    tracer.detach()
-    total_ops = host_ops + len(fill)
-    return WorkloadTiming(
-        name=name,
-        events=sim.processed,
-        host_ops=total_ops,
-        wall_seconds=wall,
-        events_per_sec=sim.processed / wall,
-        host_ops_per_sec=total_ops / wall,
-    )
-
-
-def time_physics_workload(name: str, streams: Sequence[List[StreamOp]],
-                          config: ExperimentConfig,
-                          warmup_span: int,
-                          physics) -> WorkloadTiming:
-    """Time one workload with the physics error engine armed.
-
-    Identical timed region to :func:`time_workload` — fresh system,
-    warm-up fill included — with the engine attached between fill and
-    measured workload (the supported arming point), so its
-    history-priming pass *and* its per-completion/per-read costs are
-    all inside the clock, exactly how a real armed run pays for them.
-    ``config`` must have ``track_history=True`` (the engine's
-    prerequisite); pass the same config to the untraced arm so the
-    comparison isolates the engine.
-    """
-    from repro.reliability.physics import PhysicsEngine
-
-    sim, _array, _buffer, _ftl, controller = build_system(BENCH_FTL,
-                                                          config)
-    host_ops = sum(len(s) for s in streams)
-    with _quiesced_gc():
-        start = time.perf_counter()
-        fill = sequential_fill(warmup_span)
-        warm = ClosedLoopHost(sim, controller, [fill])
-        warm.start()
-        sim.run()
-        controller.attach_physics(PhysicsEngine(physics))
-        host = ClosedLoopHost(sim, controller, list(streams))
-        host.start()
-        sim.run()
-        wall = time.perf_counter() - start
-    total_ops = host_ops + len(fill)
-    return WorkloadTiming(
-        name=name,
-        events=sim.processed,
-        host_ops=total_ops,
-        wall_seconds=wall,
-        events_per_sec=sim.processed / wall,
-        host_ops_per_sec=total_ops / wall,
-    )
-
-
-def time_scenario_replay(name: str, path: str, host_ops: int,
-                         config: ExperimentConfig,
-                         warmup_span: int) -> WorkloadTiming:
-    """Time a streaming closed-loop replay of an on-disk scenario CSV.
-
-    Same shape as :func:`time_workload` — fresh system, warm-up fill
-    inside the timed region — but the measured phase streams
-    ``operation_sequence`` rows straight off disk through a
-    :class:`~repro.scenarios.host.StreamingClosedLoopHost`.  CSV
-    parsing is deliberately *inside* the timed region: a real replay
-    pays for it on every run, and this benchmark is the guard that the
-    bounded-memory path stays within shouting distance of the
-    materialized one.  (Exporting the file is not timed — the caller
-    writes it beforehand.)
-    """
-    from repro.scenarios.csvio import TraceScenario
-    from repro.scenarios.host import StreamingClosedLoopHost
-
-    sim, _array, _buffer, _ftl, controller = build_system(BENCH_FTL,
-                                                          config)
-    with _quiesced_gc():
-        start = time.perf_counter()
-        fill = sequential_fill(warmup_span)
-        warm = ClosedLoopHost(sim, controller, [fill])
-        warm.start()
-        sim.run()
-        scenario = TraceScenario(path)
-        host = StreamingClosedLoopHost(sim, controller,
-                                       scenario.op_streams())
-        host.start()
-        sim.run()
-        wall = time.perf_counter() - start
-    total_ops = host_ops + len(fill)
-    return WorkloadTiming(
-        name=name,
-        events=sim.processed,
-        host_ops=total_ops,
-        wall_seconds=wall,
-        events_per_sec=sim.processed / wall,
-        host_ops_per_sec=total_ops / wall,
-    )
+def _stream_scenario(workload: str, span: int, scale: float,
+                     seed: int) -> StreamScenario:
+    return StreamScenario.from_streams(WORKLOADS[workload](span, scale,
+                                                           seed))
 
 
 def _scenario_replay_case(span: int, scale: float, seed: int,
                           config: ExperimentConfig) -> WorkloadTiming:
-    """Export the replay preset to a temp CSV and time its replay."""
+    """Export the replay preset to a temp CSV and time its replay.
+
+    CSV parsing is deliberately inside the timed region: a real replay
+    pays for it on every run, and this benchmark is the guard that the
+    bounded-memory path stays within shouting distance of the
+    materialized one.  (Exporting the file is not timed.)
+    """
     import os
     import tempfile
 
-    from repro.scenarios.csvio import write_scenario_csv
+    from repro.scenarios.csvio import TraceScenario, write_scenario_csv
     from repro.scenarios.presets import make_preset
 
     ops = max(200, int(BASE_OPS * scale))
@@ -503,9 +362,9 @@ def _scenario_replay_case(span: int, scale: float, seed: int,
     with tempfile.TemporaryDirectory(prefix="repro-perfbench-") as tmp:
         path = os.path.join(
             tmp, f"operation_sequence_{SCENARIO_REPLAY_PRESET}.csv")
-        rows = write_scenario_csv(scenario, path)
-        return time_scenario_replay(SCENARIO_REPLAY, path, rows,
-                                    config, span)
+        write_scenario_csv(scenario, path)
+        return time_run(SCENARIO_REPLAY, config, span,
+                        scenario=TraceScenario(path))
 
 
 @dataclasses.dataclass
@@ -629,31 +488,38 @@ def run_trace_overhead(
     (see :class:`TraceOverheadResult` for why best-of, not means).
     This is the perf guard for the observability layer: the
     determinism guard (traced results byte-identical) lives in the
-    test suite, this one bounds the wall-clock price.
+    test suite, this one bounds the wall-clock price — and raises
+    ``RuntimeError`` if the two arms of a pair ever process different
+    event counts, since a rate comparison between different runs
+    means nothing.
     """
     if workload not in WORKLOADS:
         raise KeyError(f"unknown workload {workload!r}; trace overhead "
                        f"supports {sorted(WORKLOADS)}")
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
+    from repro.observability.tracer import Tracer
+
     config = ExperimentConfig(track_history=False)
-    _, _, _, probe, _ = build_system(BENCH_FTL, config)
-    span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
-    streams = WORKLOADS[workload](span, scale, seed)
+    span = _bench_span(config)
+    scenario = _stream_scenario(workload, span, scale, seed)
 
     off: List[float] = []
     on: List[float] = []
     for index in range(rounds):
-        if index % 2 == 0:
-            off.append(time_workload(workload, streams, config,
-                                     span).events_per_sec)
-            on.append(time_traced_workload(workload, streams, config,
-                                           span).events_per_sec)
-        else:
-            on.append(time_traced_workload(workload, streams, config,
-                                           span).events_per_sec)
-            off.append(time_workload(workload, streams, config,
-                                     span).events_per_sec)
+        arms = [(off, False), (on, True)]
+        if index % 2:
+            arms = arms[::-1]
+        events = []
+        for rates, traced in arms:
+            timing = time_run(workload, config, span, scenario=scenario,
+                              tracer=Tracer() if traced else None)
+            rates.append(timing.events_per_sec)
+            events.append(timing.events)
+        if events[0] != events[1]:
+            raise RuntimeError(
+                f"tracing changed the run in pair {index}: "
+                f"{events[0]} events != {events[1]} between the arms")
 
     result = TraceOverheadResult(
         workload=workload,
@@ -771,9 +637,8 @@ def run_physics_overhead(
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
     config = ExperimentConfig(track_history=True)
-    _, _, _, probe, _ = build_system(BENCH_FTL, config)
-    span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
-    streams = WORKLOADS[workload](span, scale, seed)
+    span = _bench_span(config)
+    scenario = _stream_scenario(workload, span, scale, seed)
     physics = PhysicsConfig(
         pe_baseline=PHYSICS_BENCH_PE,
         retention_baseline_hours=PHYSICS_BENCH_RETENTION_HOURS,
@@ -782,18 +647,13 @@ def run_physics_overhead(
     off: List[float] = []
     on: List[float] = []
     for index in range(rounds):
-        if index % 2 == 0:
-            off.append(time_workload(workload, streams, config,
-                                     span).events_per_sec)
-            on.append(time_physics_workload(workload, streams, config,
-                                            span,
-                                            physics).events_per_sec)
-        else:
-            on.append(time_physics_workload(workload, streams, config,
-                                            span,
-                                            physics).events_per_sec)
-            off.append(time_workload(workload, streams, config,
-                                     span).events_per_sec)
+        arms = [(off, None), (on, physics)]
+        if index % 2:
+            arms = arms[::-1]
+        for rates, armed in arms:
+            rates.append(time_run(workload, config, span,
+                                  scenario=scenario,
+                                  physics=armed).events_per_sec)
 
     result = PhysicsOverheadResult(
         workload=workload,
@@ -956,9 +816,8 @@ def run_scale_sweep(
         base_config = ExperimentConfig(geometry=geometry,
                                        track_history=False,
                                        kernel="heap")
-        _, _, _, probe, _ = build_system(BENCH_FTL, new_config)
-        span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
-        streams = WORKLOADS[workload](span, scale, seed)
+        span = _bench_span(new_config)
+        scenario = _stream_scenario(workload, span, scale, seed)
         new_rates: List[float] = []
         base_rates: List[float] = []
         events: Optional[int] = None
@@ -967,7 +826,8 @@ def run_scale_sweep(
             if index % 2:
                 arms = arms[::-1]
             for config, rates in arms:
-                timing = time_workload(workload, streams, config, span)
+                timing = time_run(workload, config, span,
+                                  scenario=scenario)
                 if events is None:
                     events = timing.events
                 elif timing.events != events:
@@ -1047,8 +907,7 @@ def run_perfbench(
             )
     config = ExperimentConfig(track_history=track_history,
                               kernel=kernel)
-    _, _, _, probe, _ = build_system(BENCH_FTL, config)
-    span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
+    span = _bench_span(config)
 
     profiler = None
     if profile_path is not None:
@@ -1060,16 +919,17 @@ def run_perfbench(
         timings = {}
         for name in names:
             if name in WORKLOADS:
-                timings[name] = time_workload(
-                    name, WORKLOADS[name](span, scale, seed), config,
-                    span)
+                timings[name] = time_run(
+                    name, config, span,
+                    scenario=_stream_scenario(name, span, scale, seed))
             elif name == SCENARIO_REPLAY:
                 timings[name] = _scenario_replay_case(span, scale,
                                                       seed, config)
             else:
-                timings[name] = time_qos_workload(
-                    name, QOS_WORKLOADS[name](span, scale, seed),
-                    config, span)
+                timings[name] = time_run(
+                    name, config, span,
+                    tenants=QOS_WORKLOADS[name](span, scale, seed),
+                    arbiter=QOS_ARBITER)
     finally:
         if profiler is not None:
             profiler.disable()

@@ -12,7 +12,10 @@ turns completions into latency percentiles and SLO-violation counts
 The layer is strictly opt-in: nothing here runs unless a
 :class:`~repro.qos.host.MultiTenantHost` (or an explicitly attached
 :class:`~repro.qos.slo.SloAccountant`) is put in front of the
-controller, and untagged requests behave exactly as before.
+controller, and untagged requests behave exactly as before.  Measured
+multi-tenant runs go through
+:func:`repro.experiments.runner.run_workload` with ``tenants=`` (or a
+tenant-tagged scenario plus ``arbiter=``).
 
 See ``docs/QOS.md`` for the design discussion and
 ``examples/multi_tenant.py`` for a quickstart.
@@ -27,14 +30,18 @@ from repro.qos.arbiter import (
     WeightedRoundRobinArbiter,
     make_arbiter,
 )
-from repro.qos.host import MultiTenantHost, TenantSpec
+from repro.qos.host import (
+    MultiTenantHost,
+    TenantSpec,
+    tenant_specs_from_scenario,
+)
 from repro.qos.queues import QueuedCommand, SubmissionQueue
-from repro.qos.runner import (
-    QosRunResult,
-    run_qos_workload,
+from repro.qos.slo import (
+    SloAccountant,
+    SloTarget,
+    TenantAccount,
     tenant_table_rows,
 )
-from repro.qos.slo import SloAccountant, SloTarget, TenantAccount
 from repro.qos.throttle import AdmissionGate, TokenBucket
 
 __all__ = [
@@ -54,7 +61,6 @@ __all__ = [
     "SloAccountant",
     "TenantSpec",
     "MultiTenantHost",
-    "QosRunResult",
-    "run_qos_workload",
+    "tenant_specs_from_scenario",
     "tenant_table_rows",
 ]

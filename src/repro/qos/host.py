@@ -84,6 +84,36 @@ class TenantSpec:
                          write_latency=self.write_slo)
 
 
+def tenant_specs_from_scenario(scenario) -> List[TenantSpec]:
+    """Materialize a tenant-tagged scenario into tenant specs.
+
+    Every op must carry a tenant tag (e.g. a
+    :class:`~repro.scenarios.generator.WorkloadScenario` with tenant
+    bindings); binding contracts — weight, rate, SLOs — carry over.
+    A :class:`TenantSpec` holds streams as tuples, so this view
+    necessarily materializes the scenario.
+    """
+    grouped = scenario.tenant_streams()
+    bindings = {binding.name: binding
+                for binding in scenario.tenant_bindings()}
+    if not grouped:
+        raise ValueError(
+            f"scenario {scenario.name!r} declares no tenants; a "
+            f"multi-tenant run needs tenant bindings or tagged ops")
+    specs: List[TenantSpec] = []
+    for name, streams in grouped.items():
+        binding = bindings.get(name)
+        if binding is None:
+            specs.append(TenantSpec.make(name, streams))
+        else:
+            specs.append(TenantSpec.make(
+                name, streams, weight=binding.weight,
+                rate_pages_per_sec=binding.rate_pages_per_sec,
+                read_slo=binding.read_slo,
+                write_slo=binding.write_slo))
+    return specs
+
+
 class TenantCompletion:
     """Completion callback advancing one tenant stream.
 

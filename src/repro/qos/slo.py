@@ -197,3 +197,24 @@ class SloAccountant:
         """Per-tenant summaries, in tenant registration order."""
         return {tenant: account.summary()
                 for tenant, account in self.accounts.items()}
+
+
+def tenant_table_rows(tenants: Mapping[str, Mapping[str, object]],
+                      unit: float = 1e-3) -> List[List[str]]:
+    """Per-tenant report rows from a run's ``tenants`` section
+    (latency columns in ``unit`` seconds)."""
+    rows: List[List[str]] = []
+    for name, summary in tenants.items():
+        write = summary["write_latency"]
+        read = summary["read_latency"]
+        rows.append([
+            name,
+            str(summary["completed_writes"]),
+            f"{float(write['p50']) / unit:.3f}",  # type: ignore[index]
+            f"{float(write['p99']) / unit:.3f}",  # type: ignore[index]
+            str(summary["completed_reads"]),
+            f"{float(read['p99']) / unit:.3f}",  # type: ignore[index]
+            str(int(summary["read_violations"])  # type: ignore[call-overload]
+                + int(summary["write_violations"])),  # type: ignore[call-overload]
+        ])
+    return rows

@@ -17,8 +17,8 @@ silicon, so this subpackage provides the closest synthetic equivalent:
   of Figure 4 (90+ blocks, 5000+ pages);
 * :mod:`repro.reliability.physics` arms the same models inside the live
   simulation (a seeded runtime error engine driven by each page's real
-  program/read history), and :mod:`repro.reliability.runner` runs whole
-  workloads with it attached.
+  program/read history); ``run_workload(physics=...)`` in
+  :mod:`repro.experiments.runner` runs whole workloads with it attached.
 """
 
 from repro.reliability.interference import (
@@ -51,7 +51,6 @@ from repro.reliability.physics import (
     oracle_page_state,
     oracle_read_probability,
 )
-from repro.reliability.runner import PhysicsRunResult, run_physics_workload
 
 __all__ = [
     "aggressor_counts",
@@ -76,6 +75,4 @@ __all__ = [
     "ReadOutcome",
     "oracle_page_state",
     "oracle_read_probability",
-    "PhysicsRunResult",
-    "run_physics_workload",
 ]

@@ -1,10 +1,8 @@
 """The Scenario abstraction: one front door for every workload source.
 
 A :class:`Scenario` is a *lazy, seeded, iterator-based* source of
-tagged host requests.  The measured runners —
-:func:`repro.experiments.runner.run_workload`,
-:func:`repro.qos.runner.run_qos_workload` and
-:func:`repro.faults.runner.run_fault_workload` — all accept one via
+tagged host requests.  The measured run,
+:func:`repro.experiments.runner.run_workload`, takes one via
 ``scenario=``, so the stateful phase generator
 (:mod:`repro.scenarios.generator`), on-disk trace replay
 (:mod:`repro.scenarios.csvio`) and legacy pre-built stream lists
@@ -281,9 +279,8 @@ _OP_KINDS = {"R": RequestKind.READ, "W": RequestKind.WRITE}
 class StreamScenario(Scenario):
     """Adapter wrapping pre-built closed-loop stream lists.
 
-    This is what the deprecated ``streams=`` keyword of the runners
-    becomes internally, and what keeps every pre-scenario workload
-    generator (:mod:`repro.workloads`) usable unchanged::
+    This keeps every pre-scenario workload generator
+    (:mod:`repro.workloads`) usable unchanged::
 
         scenario = StreamScenario.from_streams(
             build_workload("Varmail", span, total_ops=4000))

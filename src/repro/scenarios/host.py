@@ -7,8 +7,9 @@ scenario (or an on-disk trace) of any length runs in bounded memory.
 
 :class:`StreamingClosedLoopHost` is event-for-event identical to
 :class:`~repro.sim.host.ClosedLoopHost` on the same op sequence: the
-golden fig8 byte-identity test runs the legacy ``streams=`` adapter
-through this host, so any divergence fails tier 1.
+golden fig8 byte-identity test runs the
+:class:`~repro.scenarios.base.StreamScenario` adapter through this
+host, so any divergence fails tier 1.
 
 When the controller has a tracer installed, the closed-loop host emits
 a ``scenario.phase`` trace event the first time an op of a new

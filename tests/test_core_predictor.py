@@ -12,6 +12,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 
@@ -88,10 +89,11 @@ class TestFlexFtlPredictorIntegration:
         span = experiment_span(self.CONFIG, utilization=0.45)
         streams = build_workload("Varmail", span, total_ops=4000,
                                  seed=2)
-        base = run_workload(ftl_name="flexFTL", streams=streams,
+        base = run_workload(ftl_name="flexFTL",
+                            scenario=StreamScenario.from_streams(streams),
                             config=self.CONFIG)
         boosted = run_workload(
-            ftl_name="flexFTL", streams=streams,
+            ftl_name="flexFTL", scenario=StreamScenario.from_streams(streams),
             config=dataclasses.replace(self.CONFIG,
                                        flex_use_predictor=True))
         # Just-in-time collection leaves the quota healthier.
@@ -103,8 +105,10 @@ class TestFlexFtlPredictorIntegration:
         span = experiment_span(self.CONFIG, utilization=0.45)
         streams = build_workload("Varmail", span, total_ops=2000,
                                  seed=2)
-        a = run_workload(ftl_name="flexFTL", streams=streams,
+        a = run_workload(ftl_name="flexFTL",
+                         scenario=StreamScenario.from_streams(streams),
                          config=self.CONFIG)
-        b = run_workload(ftl_name="flexFTL", streams=streams,
+        b = run_workload(ftl_name="flexFTL",
+                         scenario=StreamScenario.from_streams(streams),
                          config=self.CONFIG)
         assert a.counters == b.counters  # deterministic, no predictor

@@ -28,6 +28,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 from repro.sim.stats import SimStats
 from repro.workloads.benchmarks import build_workload
 
@@ -102,14 +103,16 @@ class TestRoundTrips:
 
     def test_run_result_round_trip(self):
         streams = _small_streams()
-        result = run_workload(ftl_name="pageFTL", streams=streams,
+        result = run_workload(ftl_name="pageFTL",
+                              scenario=StreamScenario.from_streams(streams),
                               config=TEST_CONFIG)
         clone = RunResult.from_dict(result.to_dict())
         assert clone == result
 
     def test_run_result_dict_is_json_stable(self):
         streams = _small_streams()
-        result = run_workload(ftl_name="pageFTL", streams=streams,
+        result = run_workload(ftl_name="pageFTL",
+                              scenario=StreamScenario.from_streams(streams),
                               config=TEST_CONFIG)
         payload = json.dumps(result.to_dict(), sort_keys=True)
         clone = RunResult.from_dict(json.loads(payload))
@@ -138,8 +141,9 @@ class TestEngine:
         cells = []
         for workload in ("OLTP", "Varmail"):
             streams = _small_streams(workload)
-            cells.append(workload_cell("pageFTL", streams, TEST_CONFIG,
-                                       label=workload))
+            cells.append(workload_cell(
+                "pageFTL", scenario=StreamScenario.from_streams(streams),
+                config=TEST_CONFIG, label=workload))
         return cells
 
     def test_serial_matches_parallel_bytewise(self):
@@ -163,9 +167,12 @@ class TestEngine:
 
     def test_inline_run_equals_run_workload_round_trip(self):
         streams = _small_streams()
-        cell = workload_cell("pageFTL", streams, TEST_CONFIG)
+        cell = workload_cell(
+            "pageFTL", scenario=StreamScenario.from_streams(streams),
+            config=TEST_CONFIG)
         (engine_result,) = run_cells([cell])
-        direct = run_workload(ftl_name="pageFTL", streams=streams,
+        direct = run_workload(ftl_name="pageFTL",
+                              scenario=StreamScenario.from_streams(streams),
                               config=TEST_CONFIG)
         assert engine_result == direct
 
@@ -174,7 +181,9 @@ class TestResultCache:
     def test_disk_round_trip(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         streams = _small_streams()
-        cell = workload_cell("pageFTL", streams, TEST_CONFIG)
+        cell = workload_cell(
+            "pageFTL", scenario=StreamScenario.from_streams(streams),
+            config=TEST_CONFIG)
 
         (cold,) = run_cells([cell], options=EngineOptions(cache=cache))
         assert cache.stores == 1 and cache.hits == 0

@@ -29,6 +29,7 @@ from repro.experiments.table1 import (
     run_table1,
 )
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 from repro.workloads.benchmarks import build_workload
 
 #: Small device so experiment-driver tests stay fast.
@@ -60,7 +61,8 @@ class TestRunner:
     def test_run_workload_measured_phase_only(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         streams = build_workload("OLTP", span, total_ops=300, seed=1)
-        result = run_workload(ftl_name="pageFTL", streams=streams,
+        result = run_workload(ftl_name="pageFTL",
+                              scenario=StreamScenario.from_streams(streams),
                               config=TEST_CONFIG)
         # Warmup wrote the whole span but is excluded from counters.
         assert result.stats.completed_requests == \
@@ -70,9 +72,11 @@ class TestRunner:
     def test_results_are_reproducible(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         streams = build_workload("Varmail", span, total_ops=300, seed=3)
-        a = run_workload(ftl_name="flexFTL", streams=streams,
+        a = run_workload(ftl_name="flexFTL",
+                         scenario=StreamScenario.from_streams(streams),
                          config=TEST_CONFIG)
-        b = run_workload(ftl_name="flexFTL", streams=streams,
+        b = run_workload(ftl_name="flexFTL",
+                         scenario=StreamScenario.from_streams(streams),
                          config=TEST_CONFIG)
         assert a.iops == pytest.approx(b.iops)
         assert a.erases == b.erases

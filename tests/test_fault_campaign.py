@@ -6,11 +6,11 @@ import dataclasses
 import pytest
 
 from repro.experiments.engine import (
-    Cell,
     EngineOptions,
     ResultCache,
     derive_seed,
     run_cells,
+    workload_cell,
 )
 from repro.experiments.fault_campaign import (
     build_campaign_streams,
@@ -18,10 +18,14 @@ from repro.experiments.fault_campaign import (
     render_fault_campaign,
     run_fault_campaign,
 )
-from repro.experiments.runner import ExperimentConfig, experiment_span
+from repro.experiments.runner import (
+    ExperimentConfig,
+    experiment_span,
+    run_workload,
+)
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import run_fault_workload
 from repro.nand.geometry import NandGeometry
+from repro.scenarios.base import StreamScenario
 
 TEST_CONFIG = campaign_config(ExperimentConfig(
     geometry=NandGeometry(channels=2, chips_per_channel=2,
@@ -33,10 +37,11 @@ TEST_OPS = 600
 TEST_RATE = 0.01
 
 
-def _streams(seed=1):
+def _scenario(seed=1):
     span = experiment_span(TEST_CONFIG, utilization=0.6,
                           ftls=("pageFTL", "flexFTL"))
-    return build_campaign_streams(span, TEST_OPS, seed)
+    return StreamScenario.from_streams(
+        build_campaign_streams(span, TEST_OPS, seed))
 
 
 def _plan(seed=1):
@@ -47,8 +52,8 @@ def _plan(seed=1):
 class TestDeterminism:
     def test_same_seed_identical_stats(self):
         results = [
-            run_fault_workload(ftl_name="flexFTL", streams=_streams(),
-                               plan=_plan(), config=TEST_CONFIG)
+            run_workload(ftl_name="flexFTL", scenario=_scenario(),
+                         faults=_plan(), config=TEST_CONFIG)
             for _ in range(2)
         ]
         assert results[0].to_dict() == results[1].to_dict()
@@ -56,19 +61,15 @@ class TestDeterminism:
         assert faults is not None and faults.program_failures > 0
 
     def test_different_seed_different_faults(self):
-        base = run_fault_workload(ftl_name="flexFTL",
-                                  streams=_streams(), plan=_plan(1),
-                                  config=TEST_CONFIG)
-        other = run_fault_workload(ftl_name="flexFTL",
-                                   streams=_streams(), plan=_plan(2),
-                                   config=TEST_CONFIG)
+        base = run_workload(ftl_name="flexFTL", scenario=_scenario(),
+                            faults=_plan(1), config=TEST_CONFIG)
+        other = run_workload(ftl_name="flexFTL", scenario=_scenario(),
+                             faults=_plan(2), config=TEST_CONFIG)
         assert base.to_dict() != other.to_dict()
 
     def test_zero_rate_attaches_zeroed_fault_stats(self):
-        result = run_fault_workload(ftl_name="pageFTL",
-                                    streams=_streams(),
-                                    plan=FaultPlan(),
-                                    config=TEST_CONFIG)
+        result = run_workload(ftl_name="pageFTL", scenario=_scenario(),
+                              faults=FaultPlan(), config=TEST_CONFIG)
         faults = result.stats.faults
         assert faults is not None
         assert faults.program_failures == 0
@@ -77,11 +78,10 @@ class TestDeterminism:
 
 class TestEngineEquivalence:
     def _cells(self):
-        streams = _streams()
+        scenario = _scenario()
         return [
-            Cell.make("fault_workload", label=f"{ftl}@{TEST_RATE:g}",
-                      ftl_name=ftl, streams=streams, plan=_plan(),
-                      config=TEST_CONFIG)
+            workload_cell(ftl, scenario=scenario, config=TEST_CONFIG,
+                          label=f"{ftl}@{TEST_RATE:g}", faults=_plan())
             for ftl in ("pageFTL", "flexFTL")
         ]
 
@@ -121,10 +121,11 @@ class TestCampaignHeadline:
     def test_resume_epilogue_ran_and_lost_nothing_durable(
             self, campaign):
         assert campaign.resume_ftl == "flexFTL"
-        assert campaign.resume_recoveries
+        recoveries = campaign.resume_result.recoveries
+        assert recoveries
         faults = campaign.resume_result.stats.faults
-        assert faults.power_cuts == len(campaign.resume_recoveries)
-        for recovery in campaign.resume_recoveries:
+        assert faults.power_cuts == len(recoveries)
+        for recovery in recoveries:
             assert recovery["lost_pages"] == 0
 
     def test_render_mentions_the_headline(self, campaign):

@@ -1,0 +1,231 @@
+"""Tests for the one measured-run pipeline, ``run_workload``.
+
+Every optional subsystem — tracer, fault plan, physics engine, power
+cuts, the multi-tenant front-end — is a keyword of the same run.  These
+tests cover what only that composition can show: armed subsystems
+meeting in one seeded run, the combinations the pipeline refuses, the
+fleet's :class:`~repro.fleet.device.DeviceRun` landing on exactly the
+run ``run_workload`` reports, and power-loss resume across the paper's
+FTLs.
+"""
+
+import dataclasses
+import gc
+import json
+
+import pytest
+
+from repro.experiments.engine import workload_cell
+from repro.experiments.fault_campaign import campaign_config
+from repro.experiments.runner import (
+    PAPER_FTLS,
+    ExperimentConfig,
+    build_system,
+    run_workload,
+)
+from repro.faults.plan import FaultPlan
+from repro.fleet.device import DeviceRun
+from repro.fleet.service import FleetSpec, fleet_config
+from repro.observability.tracer import Tracer
+from repro.perfbench import harness
+from repro.qos.host import TenantSpec
+from repro.reliability.physics import PhysicsConfig
+from repro.scenarios.base import OPEN, StreamScenario
+from repro.scenarios.csvio import TraceScenario, write_scenario_csv
+from repro.scenarios.presets import make_preset
+from repro.sim.host import StreamOp
+from repro.sim.queues import RequestKind
+
+#: Power cuts inside the measured phase of a few thousand 1-page ops.
+CUTS = [0.004, 0.008]
+
+TINY_TENANTS = [TenantSpec.make("a", [[
+    StreamOp(RequestKind.WRITE, lpn, 1) for lpn in range(16)]])]
+
+
+def _scenario(ftl_name, config, preset="oltp", ops=2000, seed=3):
+    logical = build_system(ftl_name, config)[3].logical_pages
+    return make_preset(preset, int(0.5 * logical), ops, seed=seed)
+
+
+class TestComposition:
+    """Faults, physics, power cuts and a tracer armed in one run."""
+
+    CONFIG = campaign_config()
+
+    def _run(self, ftl_name, tracer=None):
+        return run_workload(
+            ftl_name=ftl_name,
+            scenario=_scenario(ftl_name, self.CONFIG),
+            config=self.CONFIG,
+            faults=FaultPlan(seed=7, program_fail_rate=0.005),
+            physics=PhysicsConfig(seed=5, pe_baseline=6000,
+                                  retention_baseline_hours=8760.0),
+            power_cuts=CUTS,
+            tracer=tracer)
+
+    @pytest.mark.parametrize("ftl_name", ["flexFTL", "pageFTL"])
+    def test_same_seed_same_result(self, ftl_name):
+        first = self._run(ftl_name)
+        second = self._run(ftl_name)
+        assert json.dumps(first.to_dict(), sort_keys=True) \
+            == json.dumps(second.to_dict(), sort_keys=True)
+        # every subsystem actually fired
+        faults = first.stats.faults
+        assert faults.program_failures > 0
+        assert faults.power_cuts == len(first.recoveries) == len(CUTS)
+        assert first.physics["reads_sampled"] > 0
+        assert first.physics["read_errors"] > 0
+
+    @pytest.mark.parametrize("ftl_name", ["flexFTL", "pageFTL"])
+    def test_traced_equals_untraced(self, ftl_name):
+        plain = self._run(ftl_name).to_dict()
+        tracer = Tracer()
+        traced = self._run(ftl_name, tracer=tracer).to_dict()
+        # the tracer's metrics registry is the one thing it adds
+        assert traced["stats"].pop("metrics")
+        assert json.dumps(traced, sort_keys=True) \
+            == json.dumps(plain, sort_keys=True)
+        assert tracer.op_count > 0
+
+    def test_plain_run_has_no_optional_sections(self):
+        result = run_workload(
+            ftl_name="pageFTL",
+            scenario=_scenario("pageFTL", self.CONFIG, ops=300),
+            config=self.CONFIG)
+        assert set(result.to_dict()) == {
+            "ftl_name", "stats", "counters", "events", "logical_pages"}
+
+
+class TestRefusedCombinations:
+    """Unsupported combinations fail before anything is built."""
+
+    CONFIG = ExperimentConfig()
+
+    def test_power_cuts_need_a_closed_scenario(self, tmp_path):
+        path = str(tmp_path / "trace.csv")
+        write_scenario_csv(_scenario("flexFTL", self.CONFIG, ops=200),
+                           path)
+        scenario = TraceScenario(path, mode=OPEN)
+        with pytest.raises(ValueError, match="closed-mode"):
+            run_workload(ftl_name="flexFTL", scenario=scenario,
+                         config=self.CONFIG, power_cuts=CUTS)
+
+    def test_physics_needs_track_history(self):
+        config = ExperimentConfig(track_history=False)
+        with pytest.raises(ValueError, match="track_history"):
+            run_workload(ftl_name="flexFTL",
+                         scenario=_scenario("flexFTL", config, ops=200),
+                         config=config, physics=PhysicsConfig())
+
+    def test_power_cuts_refuse_tenants(self):
+        with pytest.raises(ValueError, match="cannot resume"):
+            run_workload(ftl_name="flexFTL", tenants=TINY_TENANTS,
+                         config=self.CONFIG, power_cuts=CUTS)
+
+    def test_power_cuts_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            run_workload(ftl_name="flexFTL",
+                         scenario=_scenario("flexFTL", self.CONFIG,
+                                            ops=200),
+                         config=self.CONFIG, power_cuts=[])
+
+
+#: parityFTL and rtfFTL cannot yet resume after a cut; the diagnosis.
+BACKUP_RESUME_BUG = (
+    "BaseFtl.reset_after_power_loss clears state.pending, which still "
+    "holds backup parity programs and backup-block erases whose slots "
+    "BackupBlockManager.allocate already handed out, so the backup "
+    "cursor moves past pages that were never written; and rewind_slot "
+    "reclaims only the newest slot, so destroyed backup slots stay in "
+    "the cursor's path")
+
+
+def _resume_cases():
+    for ftl_name in PAPER_FTLS:
+        marks = ()
+        if ftl_name in ("parityFTL", "rtfFTL"):
+            marks = pytest.mark.xfail(reason=BACKUP_RESUME_BUG,
+                                      strict=True)
+        for preset in ("oltp", "ntrx"):
+            yield pytest.param(ftl_name, preset, marks=marks,
+                               id=f"{ftl_name}-{preset}")
+
+
+@pytest.mark.parametrize("ftl_name,preset", list(_resume_cases()))
+def test_power_cut_resume_completes(ftl_name, preset):
+    """Two mid-run cuts, each recovered; the workload still finishes."""
+    config = ExperimentConfig()
+    scenario = _scenario(ftl_name, config, preset=preset, ops=3000,
+                         seed=1)
+    result = run_workload(ftl_name=ftl_name, scenario=scenario,
+                          config=config, power_cuts=CUTS)
+    assert len(result.recoveries) == len(CUTS)
+    assert result.stats.completed_requests == scenario.total_ops
+
+
+class TestOnePipeline:
+    def test_device_run_equals_run_workload(self):
+        """A tenant-tagged fleet device, run to completion, reports
+        exactly what the same spec gives through run_workload."""
+        fleet = FleetSpec(devices=1, tenants=2, ops_per_device=300,
+                          config=fleet_config())
+        (spec,) = fleet.device_specs()
+        device = DeviceRun.build(spec)
+        assert device.qos
+        device.run_to_completion()
+        result = run_workload(ftl_name=spec.ftl_name,
+                              scenario=spec.scenario, config=spec.config,
+                              arbiter=spec.arbiter,
+                              max_outstanding=spec.max_outstanding)
+        fleet_view = device.result()
+        assert fleet_view["counters"] == result.counters
+        assert json.dumps(device.controller.stats.to_dict(),
+                          sort_keys=True) \
+            == json.dumps(result.stats.to_dict(), sort_keys=True)
+        assert fleet_view["events"] == result.events
+        assert set(result.tenants) == set(fleet_view["tenants"])
+
+    def test_failed_run_detaches_its_tracer(self, monkeypatch):
+        """A run that raises still restores the controller and the GC
+        thresholds the tracer relaxed, so the tracer can be reused."""
+        from repro.experiments import runner
+
+        def broken_warmup(*args, **kwargs):
+            raise RuntimeError("warm-up failed")
+
+        thresholds = gc.get_threshold()
+        tracer = Tracer()
+        monkeypatch.setattr(runner, "warmup_device", broken_warmup)
+        with pytest.raises(RuntimeError, match="warm-up failed"):
+            run_workload(ftl_name="pageFTL", tenants=TINY_TENANTS,
+                         tracer=tracer)
+        assert gc.get_threshold() == thresholds
+        monkeypatch.undo()
+        result = run_workload(ftl_name="pageFTL", tenants=TINY_TENANTS,
+                              tracer=tracer)
+        assert result.stats.metrics is tracer.metrics
+
+    def test_trace_overhead_refuses_diverging_arms(self, monkeypatch):
+        """A traced arm that processes a different event count than its
+        untraced partner makes the rate comparison meaningless."""
+        real = harness.time_run
+
+        def diverging(*args, tracer=None, **kwargs):
+            timing = real(*args, tracer=tracer, **kwargs)
+            if tracer is None:
+                return timing
+            return dataclasses.replace(timing, events=timing.events + 1)
+
+        monkeypatch.setattr(harness, "time_run", diverging)
+        with pytest.raises(RuntimeError, match="tracing changed"):
+            harness.run_trace_overhead(scale=0.02, rounds=1)
+
+    def test_stream_scenario_cell_spec_is_plain_data(self):
+        streams = [[StreamOp(RequestKind.WRITE, lpn, 1)
+                    for lpn in range(8)]]
+        cell = workload_cell("pageFTL",
+                             scenario=StreamScenario.from_streams(streams))
+        assert isinstance(cell.kwargs["scenario"], dict)
+        with pytest.raises(TypeError):
+            workload_cell("pageFTL", streams)  # type: ignore[misc]

@@ -1,4 +1,5 @@
-"""Tests for measured QoS runs, the isolation experiment and perfbench."""
+"""Tests for measured multi-tenant runs (``run_workload(tenants=...)``),
+the isolation experiment and perfbench."""
 
 import json
 import math
@@ -7,13 +8,13 @@ import pytest
 
 from repro.experiments.qos_isolation import build_noisy_neighbor
 from repro.experiments.registry import EXPERIMENT_REGISTRY, load_all
-from repro.experiments.runner import ExperimentConfig
-from repro.qos.host import TenantSpec
-from repro.qos.runner import (
-    QosRunResult,
-    run_qos_workload,
-    tenant_table_rows,
+from repro.experiments.runner import (
+    ExperimentConfig,
+    RunResult,
+    run_workload,
 )
+from repro.qos.host import TenantSpec
+from repro.qos.slo import tenant_table_rows
 from repro.sim.host import StreamOp
 from repro.sim.queues import RequestKind
 
@@ -34,17 +35,22 @@ def tiny_tenants(span):
     ]
 
 
+def victim_write_p99(result):
+    return float(result.tenants["victim"]["write_latency"]["p99"])
+
+
 class TestRunQosWorkload:
+    """``run_workload`` behind the QoS front-end."""
+
     @pytest.mark.parametrize("ftl_name", ["flexFTL", "pageFTL"])
     def test_measured_run_reports_per_tenant(self, small_geometry,
                                              ftl_name):
         config = small_config(small_geometry)
-        result = run_qos_workload(
+        result = run_workload(
             ftl_name=ftl_name, tenants=tiny_tenants(32),
             arbiter="drr", config=config, max_outstanding=2)
         assert result.ftl_name == ftl_name
-        assert result.arbiter == "drr"
-        victim = result.tenant("victim")
+        victim = result.tenants["victim"]
         assert victim["completed_writes"] == 8
         assert victim["completed_reads"] == 4
         # Writes admitted straight into the buffer complete with zero
@@ -52,51 +58,50 @@ class TestRunQosWorkload:
         assert 1 <= victim["write_violations"] <= 8
         assert victim["queue"]["issued"] == 12
         assert victim["weight"] == 4.0
-        assert result.totals["completed_requests"] == 24
-        assert result.totals["issued"] == 24
-        assert result.totals["elapsed"] > 0.0
+        assert result.stats.completed_requests == 24
+        assert sum(tenant["queue"]["issued"]
+                   for tenant in result.tenants.values()) == 24
+        assert result.stats.elapsed > 0.0
+        assert result.physics is None and result.recoveries is None
 
     def test_warmup_excluded_from_measured_counters(self,
                                                     small_geometry):
         config = small_config(small_geometry)
-        result = run_qos_workload(
+        result = run_workload(
             ftl_name="pageFTL", tenants=tiny_tenants(32),
             config=config)
         # Measured host programs stay in the order of the workload's
         # own pages; the preconditioning fill is far larger.
-        assert 0 < result.totals["counters"]["host_programs"] < 200
+        assert 0 < result.counters["host_programs"] < 200
 
     def test_write_p99_shorthand(self, small_geometry):
         config = small_config(small_geometry)
-        result = run_qos_workload(
+        result = run_workload(
             ftl_name="pageFTL", tenants=tiny_tenants(32),
             config=config)
-        p99 = result.write_p99("victim")
-        assert p99 == float(
-            result.tenant("victim")["write_latency"]["p99"])
-        assert p99 > 0.0
+        assert victim_write_p99(result) > 0.0
 
     def test_round_trip_through_json(self, small_geometry):
         config = small_config(small_geometry)
-        result = run_qos_workload(
+        result = run_workload(
             ftl_name="pageFTL", tenants=tiny_tenants(32),
             config=config)
         wire = json.loads(json.dumps(result.to_dict()))
-        restored = QosRunResult.from_dict(wire)
-        assert restored.write_p99("victim") == result.write_p99("victim")
-        assert restored.tenant("victim") == result.tenant("victim")
+        restored = RunResult.from_dict(wire)
+        assert victim_write_p99(restored) == victim_write_p99(result)
+        assert restored.tenants["victim"] == result.tenants["victim"]
         # The noisy tenant issues no reads: NaN percentiles survive
         # the round-trip (and are why dict equality cannot be used).
         assert math.isnan(
-            restored.tenant("noisy")["read_latency"]["p99"])
-        assert restored.totals["events"] == result.totals["events"]
+            restored.tenants["noisy"]["read_latency"]["p99"])
+        assert restored.events == result.events
 
     def test_table_rows_cover_all_tenants(self, small_geometry):
         config = small_config(small_geometry)
-        result = run_qos_workload(
+        result = run_workload(
             ftl_name="pageFTL", tenants=tiny_tenants(32),
             config=config)
-        rows = tenant_table_rows(result)
+        rows = tenant_table_rows(result.tenants)
         assert [row[0] for row in rows] == ["victim", "noisy"]
 
 

@@ -4,8 +4,8 @@ Covers the PR's contract points: phase-table validation, state-
 conditioned generation (sequential runs, re-reads, idle stretching),
 cross-process determinism of the seeded generator, spec round-trips
 through the engine's JSON encoding, the declared-vs-generated read-mix
-audit of every preset, the legacy ``streams=`` adapter (deprecation
-warning plus byte-identical results), and serial == parallel == cached
+audit of every preset, the :class:`StreamScenario` adapter (byte-identical
+to the materialized closed-loop host), and serial == parallel == cached
 equivalence of the ``scenario_grid`` experiment.
 """
 
@@ -20,9 +20,11 @@ import pytest
 from repro.experiments.engine import EngineOptions, ResultCache
 from repro.experiments.runner import (
     ExperimentConfig,
-    coerce_scenario,
+    begin_measured_phase,
+    build_system,
     experiment_span,
     run_workload,
+    warmup_device,
 )
 from repro.experiments.scenario_grid import (
     measured_read_fraction,
@@ -42,6 +44,8 @@ from repro.scenarios import (
     scenario_from_spec,
     scenario_seed,
 )
+from repro.qos.host import TenantSpec
+from repro.sim.host import ClosedLoopHost
 from repro.sim.queues import RequestKind
 from repro.workloads.benchmarks import build_workload
 
@@ -300,31 +304,38 @@ class TestRunnerIntegration:
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         return build_workload("OLTP", span, total_ops=200, seed=1)
 
-    def test_legacy_streams_kwarg_warns(self):
-        with pytest.deprecated_call():
+    def test_streams_kwarg_is_gone(self):
+        with pytest.raises(TypeError, match="streams"):
             run_workload(ftl_name="pageFTL", streams=self._streams(),
                          config=TEST_CONFIG)
 
     def test_legacy_adapter_is_byte_identical(self):
+        """The adapter drives the device exactly like the materialized
+        closed-loop host the pre-scenario runner used."""
         streams = self._streams()
-        with pytest.deprecated_call():
-            legacy = run_workload(ftl_name="pageFTL", streams=streams,
-                                  config=TEST_CONFIG)
+        sim, _, _, ftl, controller = build_system("pageFTL", TEST_CONFIG)
+        warmup_device(sim, controller, ftl, TEST_CONFIG,
+                      footprint=max(op.lpn + op.npages
+                                    for stream in streams
+                                    for op in stream))
+        _, stats = begin_measured_phase(controller, ftl, TEST_CONFIG)
+        ClosedLoopHost(sim, controller, streams).start()
+        sim.run()
         modern = run_workload(
             ftl_name="pageFTL",
             scenario=StreamScenario.from_streams(streams),
             config=TEST_CONFIG)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == \
-            json.dumps(modern.to_dict(), sort_keys=True)
+        assert json.dumps(stats.to_dict(), sort_keys=True) == \
+            json.dumps(modern.stats.to_dict(), sort_keys=True)
+        assert sim.processed == modern.events
 
     def test_exactly_one_workload_source(self):
         with pytest.raises(TypeError, match="exactly one"):
             run_workload(ftl_name="pageFTL", config=TEST_CONFIG)
+        tenants = [TenantSpec.make("a", self._streams())]
         with pytest.raises(TypeError, match="exactly one"):
-            run_workload(ftl_name="pageFTL", streams=self._streams(),
+            run_workload(ftl_name="pageFTL", tenants=tenants,
                          scenario=_tiny(), config=TEST_CONFIG)
-        with pytest.raises(TypeError):
-            coerce_scenario(None, None, "caller")
 
     def test_generator_scenario_runs_end_to_end(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)

@@ -17,6 +17,7 @@ from repro.nand.geometry import NandGeometry
 from repro.observability.summary import (summarize_jsonl,
                                          summarize_tracer)
 from repro.observability.tracer import Tracer
+from repro.scenarios.base import StreamScenario
 from repro.sim.host import ClosedLoopHost, StreamOp
 from repro.sim.queues import RequestKind
 
@@ -114,7 +115,7 @@ class TestReconciliation:
         tracer = Tracer()
         result = run_workload(
             ftl_name="flexFTL",
-            streams=[mixed_stream()],
+            scenario=StreamScenario.from_streams([mixed_stream()]),
             config=config,
             tracer=tracer,
         )
