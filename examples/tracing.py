@@ -13,8 +13,9 @@ statistics cannot:
    interest (here: the first garbage collection).
 
 Finally it shows that a tracer composes with the other
-``run_workload`` keywords: a second traced run arms a fault plan, and
-the trace records each injected failure next to the ops around it.
+``run_workload`` keywords: a second traced run arms a fault plan and a
+power cut, and the trace records each injected failure next to the ops
+around it.
 
 Usage::
 
@@ -108,7 +109,7 @@ def main() -> None:
           f"parity writes "
           f"(serialized under stats['metrics'] in RunResult files)")
 
-    # 4. tracing composes with runtime fault injection in one run
+    # 4. tracing composes with fault injection and a power cut in one run
     armed = dataclasses.replace(config, ftl_config=dataclasses.replace(
         config.ftl_config, spare_blocks_per_chip=2))
     fault_tracer = Tracer()
@@ -119,14 +120,17 @@ def main() -> None:
         config=armed,
         tracer=fault_tracer,
         faults=FaultPlan(seed=3, program_fail_rate=0.002),
+        power_cuts=[0.01],
     )
     injected = sum(1 for event in fault_tracer.events()
                    if event.kind == ev.FAULT_INJECT)
     faults = faulted.stats.faults
-    print(f"\nwith a fault plan armed: {injected} injected faults "
-          f"traced, {faults.redriven_writes} writes re-driven, "
+    print(f"\nwith a fault plan and a power cut armed: {injected} "
+          f"injected faults traced, {faults.power_cuts} power cut "
+          f"recovered, {faults.redriven_writes} writes re-driven, "
           f"{faults.reconstructed_pages} pages parity-reconstructed, "
-          f"{faults.lost_pages} pages lost")
+          f"{faults.lost_pages} pages lost, "
+          f"{faults.lost_inflight_writes} in-flight writes lost")
 
 
 if __name__ == "__main__":

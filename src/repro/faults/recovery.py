@@ -22,6 +22,7 @@ import dataclasses
 from typing import List, Set, Tuple
 
 from repro.core.parity_backup import estimate_reboot_read_overhead
+from repro.ftl.backup import ParitySlot
 from repro.sim.controller import StorageController
 from repro.sim.ops import OpKind
 from repro.sim.powerloss import PowerLossReport
@@ -104,27 +105,15 @@ def recover_after_power_loss(controller: StorageController,
 
     interrupted = set(report.interrupted_programs)
     # Parity slots the cut itself destroyed protect nothing anymore;
-    # drop them before any parity_covers decision below.  The slot of
-    # an *interrupted* parity program is rewound so the backup block's
-    # program sequence stays hole-free.
+    # drop them before any parity_covers decision below (a destroyed
+    # slot in the block being filled also seals that block).
     for addr in interrupted | set(report.destroyed_pages):
         if addr.block < ftl.backup_block_start:
             continue
         chip_id = geometry.chip_id(addr.channel, addr.chip)
         backup = ftl.chips[chip_id].backup
-        if backup is None:
-            continue
-        hole = (addr.block, addr.page)
-        owners = [owner for owner, slot in backup._live.items()
-                  if (slot.block, slot.page) == hole]
-        for owner in owners:
-            slot = backup.invalidate(owner)
-            if addr in interrupted and slot is not None:
-                backup.rewind_slot(slot)
-                if controller._trace is not None:
-                    controller._trace.event(
-                        "parity.rewind", chip=chip_id,
-                        block=slot.block, page=slot.page)
+        if backup is not None:
+            backup.discard([ParitySlot(addr.block, addr.page)])
 
     reconstructed = 0
     lost = 0

@@ -20,7 +20,7 @@ RAM-resident parity buffers before new slots are handed out.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 def _slot_pages(wordlines: int, order: str) -> List[int]:
@@ -133,19 +133,26 @@ class BackupBlockManager:
         """Drop ``owner``'s parity (its protected block closed safely)."""
         return self._live.pop(owner, None)
 
-    def rewind_slot(self, slot: ParitySlot) -> bool:
-        """Give back the most recently allocated slot.
+    def discard(self, slots: Iterable[ParitySlot]) -> List[object]:
+        """Forget parity slots a power cut left unwritten or destroyed.
 
-        Used after a power cut interrupts a parity program: the page
-        is erased again, and re-using it keeps the block's program
-        sequence hole-free.  Only the newest slot of the current block
-        can be rewound; anything else returns False.
+        Owners whose live parity sits on one of ``slots`` lose it (it
+        never reached flash, or the cut destroyed it).  A lost slot in
+        the block being filled also *seals* that block: its program
+        sequence now has a hole or a destroyed page, which no later
+        page may follow, so the next :meth:`allocate` recycles into a
+        freshly erased block instead.  Returns the owners that lost
+        their parity.
         """
-        if slot.block == self.current_block and self._cursor > 0 \
-                and self._pages[self._cursor - 1] == slot.page:
-            self._cursor -= 1
-            return True
-        return False
+        lost = set(slots)
+        owners = [owner for owner, slot in self._live.items()
+                  if slot in lost]
+        for owner in owners:
+            del self._live[owner]
+        current = self.current_block
+        if any(slot.block == current for slot in lost):
+            self._cursor = len(self._pages)
+        return owners
 
     def slot_of(self, owner: object) -> Optional[ParitySlot]:
         """Current parity slot protecting ``owner``, if any."""

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.faults.badblocks import BadBlockManager
-from repro.ftl.backup import BackupBlockManager
+from repro.ftl.backup import BackupBlockManager, ParitySlot
 from repro.ftl.mapping import MappingTable
 from repro.nand.array import NandArray
 from repro.nand.geometry import PhysicalPageAddress
@@ -177,10 +177,6 @@ class BaseFtl(abc.ABC):
     #: carry emission sites.
     _trace = None
     _metrics = None
-    #: pre-resolved per-chip parity.writes counters, planted by
-    #: Tracer.install (the parity path is too frequent for labeled
-    #: registry lookups)
-    _parity_counters = None
 
     def __init__(self, array: NandArray, write_buffer: WriteBuffer,
                  config: Optional[FtlConfig] = None) -> None:
@@ -556,9 +552,7 @@ class BaseFtl(abc.ABC):
             # owner is a global block id; warm path — see Tracer.warm_parity
             trace.warm_parity(chip_id, int(owner), slot.block,
                               slot.page, int(cycle is not None))
-        counters = self._parity_counters
-        if counters is not None:
-            counters[chip_id].inc()
+            self._metrics.counter("parity.writes", chip=chip_id).inc()
 
     # ------------------------------------------------------------------
     # fault handling (driven by the controller; see repro.faults)
@@ -646,20 +640,34 @@ class BaseFtl(abc.ABC):
 
         Parity content is RAM-resident until its protected block
         closes, so every owner whose live slot the failure destroyed
-        simply gets a fresh slot and a re-program.  Backup blocks sit
-        outside the spare/replacement pools and are not retired.
+        simply gets a fresh slot and a re-program.  No page of a block
+        may follow a destroyed one, so parity programs still queued
+        for that block are taken back and re-driven too, and the
+        backup manager moves on to a freshly erased block.  Backup
+        blocks sit outside the spare/replacement pools and are not
+        retired.
         """
         stats = self.fault_stats
         if stats is not None:
             stats.backup_program_failures += 1
         destroyed = apply_power_loss_to_in_flight(self.array, op.addr)
-        backup = self.chips[chip_id].backup
+        state = self.chips[chip_id]
+        backup = state.backup
         if backup is None:
             return
-        lost_slots = {(lost.block, lost.page) for lost in destroyed}
-        owners = [owner for owner, slot in backup._live.items()
-                  if (slot.block, slot.page) in lost_slots]
-        for owner in owners:
+        lost = [ParitySlot(addr.block, addr.page) for addr in destroyed]
+        blocks = {slot.block for slot in lost}
+        kept: Deque[FlashOp] = deque()
+        for pending_op in state.pending:
+            if pending_op.tag == "backup" \
+                    and pending_op.kind is OpKind.PROGRAM \
+                    and pending_op.addr.block in blocks:
+                lost.append(ParitySlot(pending_op.addr.block,
+                                       pending_op.addr.page))
+            else:
+                kept.append(pending_op)
+        state.pending = kept
+        for owner in backup.discard(lost):
             self._enqueue_parity_backup(chip_id, owner)
             if stats is not None:
                 stats.redriven_writes += 1
@@ -924,13 +932,24 @@ class BaseFtl(abc.ABC):
 
         Pending GC/salvage relocation programs are rolled back to their
         durable source copy (the reboot metadata scan finds it — the
-        victim block has not been erased).  Re-drive entries lived only
-        in controller RAM; their logical pages are lost.  Returns the
-        lost lpns.
+        victim block has not been erased).  Pending parity programs
+        never reached flash although their backup slots were handed
+        out: the backup manager forgets them and stops filling a block
+        they left a hole in.  Re-drive entries lived only in controller
+        RAM; their logical pages are lost.  Returns the lost lpns.
         """
         dropped: List[int] = []
         mapping = self.mapping
         for state in self.chips:
+            # A backup-block erase is always queued ahead of a parity
+            # program into that block, so the unwritten programs
+            # cover a dropped erase too.
+            unwritten = [ParitySlot(op.addr.block, op.addr.page)
+                         for op in state.pending
+                         if op.tag == "backup"
+                         and op.kind is OpKind.PROGRAM]
+            if unwritten:
+                state.backup.discard(unwritten)
             for pending_op in state.pending:
                 if pending_op.kind is not OpKind.PROGRAM \
                         or pending_op.lpn is None:

@@ -32,7 +32,6 @@ TPO_BLOCK_FULL = "2po.block_full"
 ALLOC_DECISION = "alloc.decision"
 GC_VICTIM = "gc.victim"
 PARITY_WRITE = "parity.write"
-PARITY_REWIND = "parity.rewind"
 FAULT_INJECT = "fault.inject"
 FAULT_RECOVER = "fault.recover"
 RELIABILITY_READ_ERROR = "reliability.read_error"
@@ -104,12 +103,6 @@ EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("page", "page index of the parity slot"),
         ("cycled", "1 when allocating the slot cycled a backup block "
                    "(erase + live-parity relocations preceded it)"),
-    ),
-    PARITY_REWIND: (
-        ("chip", "global chip id"),
-        ("block", "backup block whose write cursor was rewound over "
-                  "an interrupted parity program (reboot recovery)"),
-        ("page", "rewound slot's page index"),
     ),
     FAULT_INJECT: (
         ("chip", "global chip id the fault fired on"),

@@ -11,11 +11,14 @@ historical byte shape, exactly like ``SimStats.faults``.
 
 Instruments are memoized: ``registry.counter("gc.collections",
 chip="3")`` returns the same :class:`Counter` every call, so emission
-sites need no caching of their own.
+sites need no caching of their own.  The validated label key is
+memoized too, per distinct ``(name, labels)`` call signature, so a
+repeated lookup costs one dictionary probe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: A label set in canonical form: name/value pairs sorted by name.
@@ -114,11 +117,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # the first bound >= value; NaN compares false against every
+        # bound, so it belongs in the overflow bucket
+        index = bisect_left(self.bounds, value) if value == value \
+            else len(self.bounds)
         self.counts[index] += 1
         self.total += 1
         self.sum += value
@@ -138,12 +140,29 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
+        #: call signature -> validated ``(name, LabelKey)``
+        self._keys: Dict[tuple, Tuple[str, LabelKey]] = {}
 
     # -- instrument lookup (memoized get-or-create) --------------------
 
+    def _key(self, name: str, labels: Dict[str, object]
+             ) -> Tuple[str, LabelKey]:
+        """``(name, canonical label key)``, validated once per call
+        signature.  The signature carries each value's type: ``1``,
+        ``1.0`` and ``True`` are equal keys but render differently."""
+        signature = (name, *labels.items(), *map(type, labels.values()))
+        try:
+            key = self._keys.get(signature)
+        except TypeError:
+            # an unhashable label value: validate on every call
+            return name, _label_key(labels)
+        if key is None:
+            key = self._keys[signature] = (name, _label_key(labels))
+        return key
+
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter ``name`` with ``labels`` (created on first use)."""
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         counter = self._counters.get(key)
         if counter is None:
             counter = self._counters[key] = Counter()
@@ -151,7 +170,7 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge ``name`` with ``labels`` (created on first use)."""
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         gauge = self._gauges.get(key)
         if gauge is None:
             gauge = self._gauges[key] = Gauge()
@@ -162,7 +181,7 @@ class MetricsRegistry:
                   **labels: object) -> Histogram:
         """The histogram ``name`` with ``labels`` (created on first
         use; ``bounds`` only applies at creation)."""
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         histogram = self._histograms.get(key)
         if histogram is None:
             histogram = self._histograms[key] = Histogram(

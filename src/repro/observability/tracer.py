@@ -18,8 +18,13 @@ Design constraints, in order:
    zero-allocation capture on paper, lost 42%).  Floats, ints and interned strings are never GC-tracked, and
    the transient argument tuple nets zero allocation-counter
    pressure.  Field decoding (kind names, phases) is deferred to
-   :meth:`events` materialization, off the hot path.  The measured
-   enabled-tracing overhead lives in ``BENCH_PR5.json``.
+   :meth:`events` materialization, off the hot path.  Per-request
+   QoS records (``qos.admit``/``qos.arbitrate``) take the same route:
+   positional calls append scalars to their own ring, and
+   materialization merges them back among the cold events at the
+   positions they were emitted in.  The measured enabled-tracing
+   overhead lives in ``BENCH_PR5.json`` (fig8_write) and
+   ``BENCH_PR18.json`` (qos_mix).
 
 3. **Determinism.**  Capture never reads the wall clock and never
    perturbs simulation state; a traced run produces byte-identical
@@ -54,11 +59,11 @@ import gc
 import json
 from bisect import bisect_right
 from math import inf
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.observability import events as ev
 from repro.observability.events import OP_KIND_NAMES, TraceEvent
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, Histogram, MetricsRegistry
 from repro.observability.profiler import PhaseProfiler
 
 #: Fields per flat op record: (t_issue, t_done, chip, kind_code, tag,
@@ -72,10 +77,17 @@ _ALLOC_WIDTH = 7
 #: per-op trim).
 _TRIM_SLACK = 1024
 
-#: Cold event kinds emitted once or more per host request; a bounded
-#: tracer keeps only the newest ``capacity`` of them (see
-#: :meth:`Tracer.request_event`).
-_REQUEST_KINDS = frozenset((ev.QOS_ADMIT, ev.QOS_ARBITRATE))
+#: Fields per flat per-request record: (code, t, cold_pos, phase,
+#: tenant, *data) — ``code`` indexes :data:`_REQUEST_KINDS`, and
+#: ``cold_pos`` is how many cold events preceded the record, which
+#: places it among them at materialization.  Shorter kinds pad ``data``
+#: with ``None``.
+_REQUEST_WIDTH = 9
+#: Per-request decode table: code -> (event kind, data field names).
+_REQUEST_KINDS = (
+    (ev.QOS_ADMIT, ("kind", "lpn", "npages", "depth")),
+    (ev.QOS_ARBITRATE, ("depth", "issued")),
+)
 
 #: Warm-record decode table: code -> (event kind, data field names).
 #: Warm records are flat ``(code, t, *data)`` captures for emission
@@ -131,14 +143,16 @@ class Tracer:
         self._alloc_limit = inf if capacity is None \
             else (capacity + _TRIM_SLACK) * _ALLOC_WIDTH
         self._warm_raw: List[object] = []
-        self._cold: List[TraceEvent] = []
-        #: per-request events currently in ``_cold``, and the count
-        #: past which :meth:`request_event` trims them (a trim rescans
-        #: ``_cold``, so the slack grows with the capacity to keep its
-        #: amortized cost per event constant)
-        self._request_events = 0
+        #: per-request (QoS) ring, fed by :meth:`qos_admit` and
+        #: :meth:`qos_arbitrate`; same amortized trim as the op ring
+        self._request_raw: List[object] = []
         self._request_limit = inf if capacity is None \
-            else 2 * capacity + _TRIM_SLACK
+            else (capacity + _TRIM_SLACK) * _REQUEST_WIDTH
+        #: per-tenant QoS instruments, resolved on first use (an
+        #: instrument exists only once it has counted something)
+        self._qos_admitted: List[Optional[Counter]] = []
+        self._qos_dispatched: List[Optional[Tuple[Counter, Histogram]]] = []
+        self._cold: List[TraceEvent] = []
         #: one-slot cell cold emission reads the current phase from
         self._phase_cell: List[str] = ["run"]
         #: phase transitions, parallel (times, names), for hot records
@@ -230,22 +244,24 @@ class Tracer:
         controller._metrics = self.metrics
         ftl._trace = self
         ftl._metrics = self.metrics
-        # Pre-resolved per-chip counters for the parity warm path: the
-        # label-memoization lookup in MetricsRegistry.counter is too
-        # slow to run ~once per three host pages.
-        ftl._parity_counters = tuple(
-            self.metrics.counter("parity.writes", chip=chip)
-            for chip in range(len(ftl.chips)))
         if qos_host is not None:
             self.attach_qos(qos_host)
         return self
 
     def attach_qos(self, qos_host) -> None:
-        """Arm QoS admit/arbitrate tracing on a multi-tenant host."""
+        """Arm QoS admit/arbitrate tracing on a multi-tenant host.
+
+        The host then calls :meth:`qos_admit` and :meth:`qos_arbitrate`
+        with its tenant index, which selects that tenant's
+        ``qos.admitted``, ``qos.dispatched`` and ``qos.dispatch_depth``
+        instruments without a labeled registry lookup.
+        """
         if not self.enabled:
             return
+        tenants = len(qos_host.queues)
+        self._qos_admitted = [None] * tenants
+        self._qos_dispatched = [None] * tenants
         qos_host._trace = self
-        qos_host._metrics = self.metrics
 
     def detach(self) -> None:
         """Disarm tracing, restoring the exact pre-install state."""
@@ -259,7 +275,6 @@ class Tracer:
             del ftl.__dict__["_after_host_program"]
         ftl._trace = None
         ftl._metrics = None
-        ftl._parity_counters = None
         controller._metrics = None
         prior = self._prior_ring
         controller._trace = prior
@@ -325,20 +340,39 @@ class Tracer:
         fields["phase"] = self._phase_cell[0]
         self._cold.append(TraceEvent(kind, self._sim.now, fields))
 
-    def request_event(self, kind: str, /, **fields: object) -> None:
-        """Emit one per-request cold event (a ``_REQUEST_KINDS`` kind).
+    def qos_admit(self, tenant_index: int, now: float, tenant: str,
+                  kind: str, lpn: int, npages: int, depth: int) -> None:
+        """Capture one ``qos.admit`` (a request entered its tenant's
+        submission queue) and count it in ``qos.admitted``."""
+        raw = self._request_raw
+        raw.extend((0, now, len(self._cold), self._phase_cell[0], tenant,
+                    kind, lpn, npages, depth))
+        if len(raw) >= self._request_limit:
+            self._trim_requests()
+        counter = self._qos_admitted[tenant_index]
+        if counter is None:
+            counter = self._qos_admitted[tenant_index] = \
+                self.metrics.counter("qos.admitted", tenant=tenant)
+        counter.value += 1
 
-        Same record as :meth:`event`, but counted against the
-        capacity: a bounded tracer keeps the newest ``capacity`` of
-        them, in place among the other cold events.
-        """
-        if kind not in _REQUEST_KINDS:
-            raise ValueError(f"{kind!r} is not a per-request event kind")
-        fields["phase"] = self._phase_cell[0]
-        self._cold.append(TraceEvent(kind, self._sim.now, fields))
-        self._request_events += 1
-        if self._request_events >= self._request_limit:
-            self._trim_request_events()
+    def qos_arbitrate(self, tenant_index: int, now: float, tenant: str,
+                      depth: int, issued: int) -> None:
+        """Capture one ``qos.arbitrate`` (the arbiter picked a tenant's
+        head command) and count it in ``qos.dispatched`` and
+        ``qos.dispatch_depth``."""
+        raw = self._request_raw
+        raw.extend((1, now, len(self._cold), self._phase_cell[0], tenant,
+                    depth, issued, None, None))
+        if len(raw) >= self._request_limit:
+            self._trim_requests()
+        meters = self._qos_dispatched[tenant_index]
+        if meters is None:
+            metrics = self.metrics
+            meters = self._qos_dispatched[tenant_index] = (
+                metrics.counter("qos.dispatched", tenant=tenant),
+                metrics.histogram("qos.dispatch_depth", tenant=tenant))
+        meters[0].value += 1
+        meters[1].observe(depth)
 
     def warm_parity(self, chip: int, owner: int, block: int,
                     page: int, cycled: int) -> None:
@@ -372,8 +406,6 @@ class Tracer:
                             1 if ptype else 0, buffer._live, -1))
                 if len(raw) >= limit:
                     trim()
-                if prev is not None:
-                    prev(chip_id, addr, ptype, now)
         else:
             def _alloc_hook(chip_id, addr, ptype, now):
                 raw_extend((now, chip_id, addr[2], addr[3],
@@ -381,10 +413,15 @@ class Tracer:
                             quota.value))
                 if len(raw) >= limit:
                     trim()
-                if prev is not None:
-                    prev(chip_id, addr, ptype, now)
+        if prev is None:
+            return _alloc_hook
+        capture = _alloc_hook
 
-        return _alloc_hook
+        def _chained_hook(chip_id, addr, ptype, now):
+            capture(chip_id, addr, ptype, now)
+            prev(chip_id, addr, ptype, now)
+
+        return _chained_hook
 
     # ------------------------------------------------------------------
     # buffer introspection
@@ -415,28 +452,22 @@ class Tracer:
             self.dropped_allocs += drop // _ALLOC_WIDTH
             del raw[:drop]
 
-    def _trim_request_events(self) -> None:
-        """Drop the oldest per-request cold events past the capacity,
-        keeping every other cold event and the relative order."""
+    def _trim_requests(self) -> None:
+        """Enforce the capacity on the per-request ring (see
+        :meth:`_trim`; the QoS capture calls this past
+        ``_request_limit``)."""
         capacity = self.capacity
-        if capacity is None or self._request_events <= capacity:
-            return
-        excess = self._request_events - capacity
-        self.dropped_request_events += excess
-        self._request_events = capacity
-        kept: List[TraceEvent] = []
-        for event in self._cold:
-            if excess and event.kind in _REQUEST_KINDS:
-                excess -= 1
-            else:
-                kept.append(event)
-        self._cold[:] = kept
+        raw = self._request_raw
+        if capacity is not None and len(raw) > capacity * _REQUEST_WIDTH:
+            drop = len(raw) - capacity * _REQUEST_WIDTH
+            self.dropped_request_events += drop // _REQUEST_WIDTH
+            del raw[:drop]
 
     def _settle(self) -> None:
         """Trim every bounded buffer to its capacity exactly."""
         self._trim()
         self._trim_allocs()
-        self._trim_request_events()
+        self._trim_requests()
 
     @property
     def op_count(self) -> int:
@@ -455,8 +486,8 @@ class Tracer:
         self._op_raw.clear()
         self._alloc_raw.clear()
         self._warm_raw.clear()
+        self._request_raw.clear()
         self._cold.clear()
-        self._request_events = 0
         self.dropped_ops = 0
         self.dropped_allocs = 0
         self.dropped_request_events = 0
@@ -509,9 +540,30 @@ class Tracer:
             fields = dict(zip(names, record[2:]))
             fields["phase"] = phase_at(t)
             out.append(TraceEvent(kind, t, fields))
-        out.extend(self._cold)
+        out.extend(self._cold_events())
         out.sort(key=lambda event: event.time)
         return out
+
+    def _cold_events(self) -> List[TraceEvent]:
+        """The cold events with the per-request records decoded and
+        merged back in at their emission positions."""
+        cold = self._cold
+        merged: List[TraceEvent] = []
+        done = 0
+        rraw = self._request_raw
+        for i in range(0, len(rraw), _REQUEST_WIDTH):
+            code, t, position, phase, tenant, *data = \
+                rraw[i:i + _REQUEST_WIDTH]
+            if position > done:
+                merged.extend(cold[done:position])
+                done = position
+            kind, names = _REQUEST_KINDS[code]
+            fields: Dict[str, object] = {"tenant": tenant}
+            fields.update(zip(names, data))
+            fields["phase"] = phase
+            merged.append(TraceEvent(kind, t, fields))
+        merged.extend(cold[done:])
+        return merged
 
     # ------------------------------------------------------------------
     # sinks

@@ -483,7 +483,9 @@ def run_trace_overhead(
     """Measure the enabled-tracing slowdown against ``budget_pct``.
 
     Runs ``rounds`` pairs of untraced and traced executions of one
-    :data:`WORKLOADS` workload, alternating which arm goes first
+    :data:`WORKLOADS` or :data:`QOS_WORKLOADS` workload (a
+    multi-tenant one also traces the QoS front-end's admissions and
+    arbitration decisions), alternating which arm goes first
     within each pair, and compares the best observation of each arm
     (see :class:`TraceOverheadResult` for why best-of, not means).
     This is the perf guard for the observability layer: the
@@ -493,16 +495,21 @@ def run_trace_overhead(
     event counts, since a rate comparison between different runs
     means nothing.
     """
-    if workload not in WORKLOADS:
+    if workload not in WORKLOADS and workload not in QOS_WORKLOADS:
         raise KeyError(f"unknown workload {workload!r}; trace overhead "
-                       f"supports {sorted(WORKLOADS)}")
+                       f"supports {sorted({**WORKLOADS, **QOS_WORKLOADS})}")
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
     from repro.observability.tracer import Tracer
 
     config = ExperimentConfig(track_history=False)
     span = _bench_span(config)
-    scenario = _stream_scenario(workload, span, scale, seed)
+    if workload in WORKLOADS:
+        run: Dict[str, Any] = {
+            "scenario": _stream_scenario(workload, span, scale, seed)}
+    else:
+        run = {"tenants": QOS_WORKLOADS[workload](span, scale, seed),
+               "arbiter": QOS_ARBITER}
 
     off: List[float] = []
     on: List[float] = []
@@ -512,7 +519,7 @@ def run_trace_overhead(
             arms = arms[::-1]
         events = []
         for rates, traced in arms:
-            timing = time_run(workload, config, span, scenario=scenario,
+            timing = time_run(workload, config, span, **run,
                               tracer=Tracer() if traced else None)
             rates.append(timing.events_per_sec)
             events.append(timing.events)

@@ -177,34 +177,46 @@ class DeficitRoundRobinArbiter(Arbiter):
         #: whether the current position was already credited (serving
         #: several commands in one visit must not re-credit).
         self._credited = False
+        #: pages credited per visit, per tenant.
+        self._credit = [quantum * weight for weight in self.weights]
 
     def select(self, queues: Sequence[SubmissionQueue],
                eligible: Sequence[bool]) -> Optional[int]:
         if not any(eligible):
             return None
         n = len(queues)
-        costs = [queues[i].head.request.npages if eligible[i] else None
-                 for i in range(n)]
-        max_cost = max(cost for cost in costs if cost is not None)
-        min_credit = self.quantum * min(self.weights)
-        # Every full cycle credits each eligible queue at least
-        # min_credit pages, so some deficit reaches its head cost
-        # within ceil(max_cost / min_credit) cycles.
-        bound = (int(max_cost / min_credit) + 2) * n + n
-        for _ in range(bound):
-            index = self._pos
-            cost = costs[index]
-            if cost is not None:
-                if not self._credited:
-                    self._deficit[index] += \
-                        self.quantum * self.weights[index]
+        deficit = self._deficit
+        index = self._pos
+        credited = self._credited
+        steps = 0
+        bound = n
+        while True:
+            if eligible[index]:
+                cost = queues[index].head.request.npages
+                if not credited:
+                    deficit[index] += self._credit[index]
+                    credited = True
+                if deficit[index] >= cost:
+                    deficit[index] -= cost
+                    self._pos = index
                     self._credited = True
-                if self._deficit[index] >= cost:
-                    self._deficit[index] -= cost
                     return index
-            self._pos = (index + 1) % n
-            self._credited = False
-        raise RuntimeError("DRR failed to make progress")  # pragma: no cover
+            index += 1
+            if index == n:
+                index = 0
+            credited = False
+            steps += 1
+            if steps == bound:
+                if bound != n:
+                    raise RuntimeError(
+                        "DRR failed to make progress")  # pragma: no cover
+                # A full cycle passed without a pick; from here on
+                # every cycle credits each eligible queue at least
+                # min(credit) pages, so some deficit reaches its head
+                # cost within ceil(max_cost / min(credit)) cycles.
+                max_cost = max(queues[i].head.request.npages
+                               for i in range(n) if eligible[i])
+                bound = (int(max_cost / min(self._credit)) + 3) * n
 
     def note_empty(self, index: int) -> None:
         """Classic DRR: an emptied queue forfeits its leftover deficit."""

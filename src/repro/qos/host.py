@@ -145,7 +145,7 @@ class MultiTenantHost:
 
     A :class:`~repro.observability.tracer.Tracer` attached via
     ``attach_qos`` plants ``_trace`` (class default ``None``) to record
-    admissions and arbitration decisions.
+    admissions and arbitration decisions (and count them per tenant).
 
     Args:
         sim: simulation kernel.
@@ -207,6 +207,11 @@ class MultiTenantHost:
         #: per-tenant per-stream cursors into the stream op lists.
         self._cursor: List[List[int]] = [
             [0] * len(spec.streams) for spec in tenants]
+        #: whether each submission queue holds a command, kept current
+        #: by every push and pop; without rate contracts this is the
+        #: arbiter's eligibility list itself
+        self._ready: List[bool] = [False] * len(self.queues)
+        self._metered = any(bucket is not None for bucket in self.buckets)
         self._issued = 0
         self._seq = 0
         self._pumping = False
@@ -215,9 +220,8 @@ class MultiTenantHost:
         self._wake_at: Optional[float] = None
         self._started = False
 
-    #: observability hooks, planted by ``Tracer.attach_qos``
+    #: observability hook, planted by ``Tracer.attach_qos``
     _trace = None
-    _metrics = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -264,16 +268,14 @@ class MultiTenantHost:
                           tenant=spec.name)
         request.on_complete = TenantCompletion(self, t_index, s_index,
                                                op.think_after)
-        self.queues[t_index].push(request, self._seq, now)
+        queue = self.queues[t_index]
+        queue.push(request, self._seq, now)
         self._seq += 1
-        if self._trace is not None:
-            self._trace.request_event(
-                "qos.admit", tenant=spec.name, kind=op.kind.value,
-                lpn=op.lpn, npages=op.npages,
-                depth=len(self.queues[t_index]))
-        if self._metrics is not None:
-            self._metrics.counter("qos.admitted",
-                                  tenant=spec.name).inc()
+        self._ready[t_index] = True
+        trace = self._trace
+        if trace is not None:
+            trace.qos_admit(t_index, now, spec.name, op.kind.value,
+                            op.lpn, op.npages, len(queue))
         self._pump()
 
     def _on_done(self, t_index: int, s_index: int,
@@ -295,57 +297,69 @@ class MultiTenantHost:
         synchronously (buffer admission), whose ``on_complete`` calls
         back into ``_pump``.
         """
-        if self._pumping:
+        gate = self.gate
+        if self._pumping or not gate.can_admit():
             return
         self._pumping = True
         try:
-            while self.gate.can_admit():
+            queues = self.queues
+            ready = self._ready
+            select = self.arbiter.select
+            trace = self._trace
+            while True:
                 now = self.sim.now
-                eligible: List[bool] = []
-                min_wait: Optional[float] = None
-                for index, queue in enumerate(self.queues):
-                    if queue.is_empty:
-                        eligible.append(False)
-                        continue
-                    bucket = self.buckets[index]
-                    if bucket is not None:
-                        wait = bucket.wait_time(
-                            queue.head.request.npages, now)
-                        if wait > 0.0:
-                            eligible.append(False)
-                            if min_wait is None or wait < min_wait:
-                                min_wait = wait
-                            continue
-                    eligible.append(True)
-                if not any(eligible):
-                    if min_wait is not None:
-                        self._schedule_wake(now + min_wait)
+                if self._metered:
+                    eligible = self._eligible(now)
+                    if eligible is None:
+                        return
+                elif True in ready:
+                    eligible = ready
+                else:
                     return
-                index = self.arbiter.select(self.queues, eligible)
-                assert index is not None  # some queue was eligible
-                queue = self.queues[index]
-                if self._trace is not None:
-                    self._trace.request_event("qos.arbitrate",
-                                              tenant=queue.tenant,
-                                              depth=len(queue),
-                                              issued=self._issued)
-                if self._metrics is not None:
-                    self._metrics.counter("qos.dispatched",
-                                          tenant=queue.tenant).inc()
-                    self._metrics.histogram(
-                        "qos.dispatch_depth",
-                        tenant=queue.tenant).observe(len(queue))
+                index = select(queues, eligible)
+                queue = queues[index]
+                if trace is not None:
+                    trace.qos_arbitrate(index, now, queue.tenant,
+                                        len(queue), self._issued)
                 command = queue.pop(now)
                 if queue.is_empty:
+                    ready[index] = False
                     self.arbiter.note_empty(index)
                 bucket = self.buckets[index]
                 if bucket is not None:
                     bucket.consume(command.request.npages, now)
-                self.gate.note_dispatch()
+                gate.note_dispatch()
                 self._issued += 1
                 self.controller.submit(command.request)
+                if not gate.can_admit():
+                    return
         finally:
             self._pumping = False
+
+    def _eligible(self, now: float) -> Optional[List[bool]]:
+        """Eligibility under rate contracts: non-empty and holding the
+        head command's tokens.  None when no queue is eligible, after
+        scheduling a wake-up at the earliest refill."""
+        eligible: List[bool] = []
+        min_wait: Optional[float] = None
+        for index, queue in enumerate(self.queues):
+            if not self._ready[index]:
+                eligible.append(False)
+                continue
+            bucket = self.buckets[index]
+            if bucket is not None:
+                wait = bucket.wait_time(queue.head.request.npages, now)
+                if wait > 0.0:
+                    eligible.append(False)
+                    if min_wait is None or wait < min_wait:
+                        min_wait = wait
+                    continue
+            eligible.append(True)
+        if True in eligible:
+            return eligible
+        if min_wait is not None:
+            self._schedule_wake(now + min_wait)
+        return None
 
     def _schedule_wake(self, at: float) -> None:
         now = self.sim.now

@@ -103,6 +103,29 @@ class TestBackupManagerLsbMode:
         manager = BackupBlockManager([10], wordlines=4)
         assert manager.invalidate("nobody") is None
 
+    def test_discard_drops_owners_and_seals_the_current_block(self):
+        manager = BackupBlockManager([10, 11], wordlines=4, order="lsb")
+        kept, _ = manager.allocate("a")
+        lost, _ = manager.allocate("b")
+        assert manager.discard([lost]) == ["b"]
+        assert manager.slot_of("b") is None
+        assert manager.slot_of("a") == kept
+        # the block now holds a hole: the next slot comes from a
+        # freshly erased block, never from past the lost one
+        slot, cycle = manager.allocate("c")
+        assert cycle is not None and cycle.erase_block == 11
+        assert slot.block == 11
+
+    def test_discard_elsewhere_keeps_filling_the_current_block(self):
+        manager = BackupBlockManager([10, 11], wordlines=2, order="lsb")
+        old, _ = manager.allocate("a")
+        manager.allocate("b")
+        manager.allocate("c")  # recycles into block 11
+        assert manager.current_block == 11
+        assert manager.discard([old]) == ["a"]
+        slot, cycle = manager.allocate("d")
+        assert cycle is None and slot.block == 11
+
 
 class TestBackupManagerFpsMode:
     def test_fps_mode_walks_full_block(self):

@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 from repro.faults.plan import FaultPlan
 from repro.fleet.device import DeviceRun
 from repro.fleet.service import FleetSpec, fleet_config
+from repro.nand.geometry import NandGeometry
 from repro.observability.tracer import Tracer
 from repro.perfbench import harness
 from repro.qos.host import TenantSpec
@@ -131,28 +132,9 @@ class TestRefusedCombinations:
                          config=self.CONFIG, power_cuts=[])
 
 
-#: parityFTL and rtfFTL cannot yet resume after a cut; the diagnosis.
-BACKUP_RESUME_BUG = (
-    "BaseFtl.reset_after_power_loss clears state.pending, which still "
-    "holds backup parity programs and backup-block erases whose slots "
-    "BackupBlockManager.allocate already handed out, so the backup "
-    "cursor moves past pages that were never written; and rewind_slot "
-    "reclaims only the newest slot, so destroyed backup slots stay in "
-    "the cursor's path")
-
-
-def _resume_cases():
-    for ftl_name in PAPER_FTLS:
-        marks = ()
-        if ftl_name in ("parityFTL", "rtfFTL"):
-            marks = pytest.mark.xfail(reason=BACKUP_RESUME_BUG,
-                                      strict=True)
-        for preset in ("oltp", "ntrx"):
-            yield pytest.param(ftl_name, preset, marks=marks,
-                               id=f"{ftl_name}-{preset}")
-
-
-@pytest.mark.parametrize("ftl_name,preset", list(_resume_cases()))
+@pytest.mark.parametrize("ftl_name,preset", [
+    pytest.param(ftl_name, preset, id=f"{ftl_name}-{preset}")
+    for ftl_name in PAPER_FTLS for preset in ("oltp", "ntrx")])
 def test_power_cut_resume_completes(ftl_name, preset):
     """Two mid-run cuts, each recovered; the workload still finishes."""
     config = ExperimentConfig()
@@ -161,6 +143,60 @@ def test_power_cut_resume_completes(ftl_name, preset):
     result = run_workload(ftl_name=ftl_name, scenario=scenario,
                           config=config, power_cuts=CUTS)
     assert len(result.recoveries) == len(CUTS)
+    assert result.stats.completed_requests == scenario.total_ops
+
+
+#: A device small enough that a cut or a failed parity program lands
+#: in a backup block that is still being filled (2 of its 24 blocks).
+SMALL_DEVICE = ExperimentConfig(
+    geometry=NandGeometry(channels=2, chips_per_channel=2,
+                          blocks_per_chip=24, pages_per_block=16,
+                          page_size=2048),
+    buffer_pages=32, track_history=False)
+
+
+def _churn(span=500, rounds=2):
+    ops = [StreamOp(RequestKind.WRITE, lpn, 1) for lpn in range(span)]
+    for _ in range(rounds):
+        ops.extend(StreamOp(RequestKind.WRITE, lpn, 1)
+                   for lpn in range(span))
+    return StreamScenario.from_streams([ops], name="churn")
+
+
+def _small_device(spares):
+    return dataclasses.replace(SMALL_DEVICE, ftl_config=dataclasses.replace(
+        SMALL_DEVICE.ftl_config, spare_blocks_per_chip=spares))
+
+
+@pytest.mark.parametrize("ftl_name", PAPER_FTLS)
+@pytest.mark.parametrize("spares", [0, 2])
+@pytest.mark.parametrize("cuts", [[0.01], [0.002, 0.005, 0.009, 0.013]],
+                         ids=["one-cut", "four-cuts"])
+def test_power_cut_resume_on_a_small_device(ftl_name, spares, cuts):
+    """Cuts that leave unwritten or destroyed parity slots in the
+    backup block being filled: resume seals that block and finishes.
+    With spares, program failures ride along (without, a failure
+    leaves the device read-only)."""
+    scenario = _churn()
+    faults = FaultPlan(seed=3, program_fail_rate=0.002) if spares \
+        else None
+    result = run_workload(ftl_name=ftl_name, scenario=scenario,
+                          config=_small_device(spares), power_cuts=cuts,
+                          faults=faults)
+    assert len(result.recoveries) == len(cuts)
+    assert result.stats.completed_requests == scenario.total_ops
+
+
+@pytest.mark.parametrize("ftl_name", ["parityFTL", "rtfFTL"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_failed_parity_program_is_redriven(ftl_name, seed):
+    """A program failure in a backup block destroys a parity page; the
+    parity programs queued behind it move to a fresh backup block."""
+    scenario = _churn()
+    result = run_workload(ftl_name=ftl_name, scenario=scenario,
+                          config=_small_device(2),
+                          faults=FaultPlan(seed=seed,
+                                           program_fail_rate=0.002))
     assert result.stats.completed_requests == scenario.total_ops
 
 

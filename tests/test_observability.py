@@ -11,6 +11,7 @@ on that.
 
 import gc
 import json
+import types
 
 import pytest
 
@@ -71,6 +72,40 @@ def fingerprint(system):
     }
 
 
+def tenant_fingerprint(tracer=None):
+    """Victim + noisy + rate-limited tenants behind DRR; the run's
+    fingerprint plus everything the QoS front-end decided."""
+    system = build_small_system(FlexFtl, GEOMETRY, buffer_pages=16)
+    sim, _, _, _, controller = system
+    victim = [StreamOp(RequestKind.WRITE if lpn % 2 else RequestKind.READ,
+                       lpn, 1, think_after=1e-4)
+              for _ in range(3) for lpn in range(0, 40)]
+    noisy = [StreamOp(RequestKind.WRITE, lpn, 4)
+             for _ in range(3) for lpn in range(40, 100, 4)]
+    capped = [StreamOp(RequestKind.WRITE, lpn, 2)
+              for lpn in range(100, 120, 2)]
+    host = MultiTenantHost(sim, controller, [
+        TenantSpec.make("victim", [victim], weight=2.0),
+        TenantSpec.make("noisy", [noisy, noisy, noisy]),
+        TenantSpec.make("capped", [capped], rate_pages_per_sec=300.0,
+                        burst_pages=2.0),
+    ], arbiter="drr", max_outstanding=2)
+    if tracer is not None:
+        tracer.install(controller, qos_host=host)
+    host.start()
+    sim.run()
+    if tracer is not None:
+        tracer.detach()
+    result = fingerprint(system)
+    result["tenants"] = host.accountant.summary()
+    result["queues"] = [(queue.issued, queue.max_depth_seen,
+                         queue.mean_depth()) for queue in host.queues]
+    result["issued"] = host.issued
+    result["throttled"] = [bucket.throttled_decisions
+                           for bucket in host.buckets if bucket]
+    return result
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("ftl_cls", [PageFtl, FlexFtl])
     def test_traced_run_is_byte_identical(self, ftl_cls):
@@ -97,6 +132,21 @@ class TestDeterminism:
             == json.dumps(plain, sort_keys=True)
         assert tracer.op_count > 0
 
+    @pytest.mark.parametrize("capacity", [None, 64])
+    def test_multi_tenant_traced_equals_untraced_on_each_core(
+            self, op_core, capacity):
+        """The QoS front-end's admit/arbitrate capture, bounded or
+        not, leaves every arbitration decision and result unchanged."""
+        plain = tenant_fingerprint()
+        tracer = Tracer(capacity=capacity)
+        traced = tenant_fingerprint(tracer)
+        assert json.dumps(traced, sort_keys=True) \
+            == json.dumps(plain, sort_keys=True)
+        kinds = {event.kind for event in tracer.events()}
+        assert {ev.QOS_ADMIT, ev.QOS_ARBITRATE} <= kinds
+        assert tracer.metrics.counter_total("qos.dispatched") \
+            == traced["issued"]
+
     def test_disabled_tracer_installs_nothing(self):
         tracer = Tracer(enabled=False)
         system = run_system(FlexFtl, tracer=tracer)
@@ -119,7 +169,6 @@ class TestInstallDetach:
         assert "_after_host_program" not in ftl.__dict__
         assert controller._trace is None and ftl._trace is None
         assert controller._metrics is None and ftl._metrics is None
-        assert ftl._parity_counters is None
         assert gc.get_threshold() == thresholds
 
     def test_detach_restores_prior_patch(self):
@@ -202,6 +251,12 @@ class TestRingBuffer:
             return tracer.op_count, tracer.alloc_count, requests
 
         assert retained(short) == retained(long) == (40, 40, 40)
+        # the raw per-request ring is as flat as the op/alloc rings:
+        # bounded, and holding only scalars the cyclic GC never tracks
+        assert len(short._request_raw) == len(long._request_raw)
+        for ring in (long._op_raw, long._alloc_raw, long._request_raw):
+            assert ring
+            assert not any(gc.is_tracked(value) for value in ring)
         assert long.dropped_ops > short.dropped_ops > 0
         assert long.dropped_allocs > short.dropped_allocs > 0
         assert (long.dropped_request_events
@@ -218,9 +273,32 @@ class TestRingBuffer:
                       if event.kind == ev.QOS_ADMIT]
         assert admits == all_admits[-len(admits):]
 
-    def test_request_event_rejects_other_kinds(self):
-        with pytest.raises(ValueError, match="per-request"):
-            Tracer(capacity=4).request_event(ev.GC_VICTIM)
+    def test_request_records_merge_back_in_emission_order(self):
+        """Per-request records live in their own ring but materialize
+        among the cold events exactly where they were emitted."""
+        tracer = Tracer(capacity=2)
+        tracer._sim = types.SimpleNamespace(now=1.0)
+        tracer.attach_qos(types.SimpleNamespace(queues=[None, None]))
+        tracer.event(ev.GC_VICTIM, chip=0, block=1, valid=2,
+                     background=0)
+        tracer.qos_admit(0, 1.0, "a", "write", 5, 1, 1)
+        tracer.qos_arbitrate(0, 1.0, "a", 1, 0)
+        tracer.event(ev.GC_VICTIM, chip=1, block=3, valid=0,
+                     background=1)
+        tracer.qos_admit(1, 1.0, "b", "read", 9, 2, 1)
+        events = tracer.events()
+        # the oldest request record fell off the 2-record ring
+        assert [event.kind for event in events] == [
+            ev.GC_VICTIM, ev.QOS_ARBITRATE, ev.GC_VICTIM, ev.QOS_ADMIT]
+        assert tracer.dropped_request_events == 1
+        assert events[1].to_dict() == {
+            "ev": ev.QOS_ARBITRATE, "t": 1.0, "tenant": "a",
+            "depth": 1, "issued": 0, "phase": "run"}
+        assert events[3].to_dict() == {
+            "ev": ev.QOS_ADMIT, "t": 1.0, "tenant": "b", "kind": "read",
+            "lpn": 9, "npages": 2, "depth": 1, "phase": "run"}
+        assert tracer.metrics.counter_total("qos.admitted") == 2
+        assert tracer.metrics.counter_total("qos.dispatched") == 1
 
     def test_unbounded_meta_keeps_historical_fields(self):
         tracer = self._tenant_run(Tracer(), rounds=1)

@@ -184,3 +184,82 @@ class TestDeficitRoundRobin:
         queues = make_queues(["a"], backlog=1)
         arbiter = DeficitRoundRobinArbiter(["a"])
         assert arbiter.select(queues, [False]) is None
+
+
+class _ReferenceDrr(DeficitRoundRobinArbiter):
+    """DRR ``select`` as first written — a per-call cost list and a
+    fixed loop bound — kept as the oracle for the lean version."""
+
+    def select(self, queues, eligible):
+        if not any(eligible):
+            return None
+        n = len(queues)
+        costs = [queues[i].head.request.npages if eligible[i] else None
+                 for i in range(n)]
+        max_cost = max(cost for cost in costs if cost is not None)
+        min_credit = self.quantum * min(self.weights)
+        bound = (int(max_cost / min_credit) + 2) * n + n
+        for _ in range(bound):
+            index = self._pos
+            cost = costs[index]
+            if cost is not None:
+                if not self._credited:
+                    self._deficit[index] += \
+                        self.quantum * self.weights[index]
+                    self._credited = True
+                if self._deficit[index] >= cost:
+                    self._deficit[index] -= cost
+                    return index
+            self._pos = (index + 1) % n
+            self._credited = False
+        raise RuntimeError("DRR failed to make progress")
+
+
+class TestDeficitRoundRobinOracle:
+    """Seeded random arbitration histories: the lean ``select`` makes
+    every decision the reference makes and leaves the same state."""
+
+    @staticmethod
+    def _history(seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        tenants = [f"t{i}" for i in range(n)]
+        weights = [rng.choice([0.25, 0.5, 1.0, 1.5, 3.0])
+                   for _ in range(n)]
+        quantum = rng.choice([1, 2, 8])
+        lean = DeficitRoundRobinArbiter(tenants, weights, quantum)
+        reference = _ReferenceDrr(tenants, weights, quantum)
+        queues = [SubmissionQueue(tenant) for tenant in tenants]
+        seq = 0
+        for step in range(400):
+            # arrivals: random tenants, random (sometimes oversized)
+            # command sizes
+            for index in range(n):
+                if rng.random() < 0.3:
+                    pages = rng.choice([1, 1, 2, 4, 8, 33])
+                    queues[index].push(
+                        Request(float(step), RequestKind.WRITE, 0, pages,
+                                tenant=tenants[index]), seq, float(step))
+                    seq += 1
+            # eligibility: non-empty, minus random throttling
+            eligible = [not queue.is_empty and rng.random() < 0.8
+                        for queue in queues]
+            chosen = lean.select(queues, eligible)
+            assert chosen == reference.select(queues, eligible)
+            assert lean._deficit == reference._deficit
+            assert lean._pos == reference._pos
+            assert lean._credited == reference._credited
+            if chosen is None:
+                continue
+            yield chosen
+            queues[chosen].pop(float(step))
+            if queues[chosen].is_empty:
+                lean.note_empty(chosen)
+                reference.note_empty(chosen)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lean_select_agrees_with_reference(self, seed):
+        decisions = list(self._history(seed))
+        assert decisions  # the history exercised real decisions

@@ -14,7 +14,11 @@ import random
 
 import pytest
 
-from repro.observability.metrics import DEFAULT_BOUNDS, MetricsRegistry
+from repro.observability.metrics import (
+    DEFAULT_BOUNDS,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.sim.stats import FaultStats, SimStats, WindowedBandwidth
 
 FAULT_FIELDS = [field for field in FaultStats.__dataclass_fields__
@@ -137,6 +141,52 @@ def test_reserved_label_characters_rejected():
             registry.counter("name", label=bad)
         with pytest.raises(ValueError):
             registry.counter("name", **{bad: "v"})
+
+
+def test_memoized_label_keys_render_like_before():
+    """The registry memoizes each validated label key per call
+    signature; equal values of different types still render (and
+    count) apart, and unhashable values are validated on every call."""
+    registry = MetricsRegistry()
+    one = registry.counter("c", chip=1)
+    assert registry.counter("c", chip=1) is one
+    assert registry.counter("c", chip="1") is one  # same rendering
+    assert registry.counter("c", chip=True) is not one
+    assert registry.counter("c", chip=1.0) is not one
+    both = registry.counter("c", chip=1, tenant="a")
+    assert registry.counter("c", tenant="a", chip=1) is both
+    listed = registry.counter("c", chip=[1])
+    assert registry.counter("c", chip=[1]) is listed
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            registry.counter("c", chip=[1, 2])  # renders with a ","
+    assert sorted(registry.to_dict()["counters"]) == [
+        "c{chip=1,tenant=a}", "c{chip=1.0}", "c{chip=1}", "c{chip=True}",
+        "c{chip=[1]}"]
+
+
+def test_histogram_buckets_match_the_linear_scan():
+    """``observe`` bisects; each value lands in the first bucket whose
+    bound is >= it, and NaN in the overflow bucket, as the original
+    linear scan placed them."""
+    def scan(bounds, value):
+        for index, bound in enumerate(bounds):
+            if value <= bound:
+                return index
+        return len(bounds)
+
+    rng = random.Random(11)
+    values = [float("nan"), float("inf"), -float("inf"), 0, -1, 0.0]
+    values += [bound + delta for bound in DEFAULT_BOUNDS
+               for delta in (-1e-9, 0, 1e-9)]
+    values += [rng.uniform(-5, 300) for _ in range(300)]
+    values += [rng.randint(-5, 300) for _ in range(300)]
+    for bounds in (DEFAULT_BOUNDS, (0.5, 2.5), (1, 1, 2)):
+        for value in values:
+            histogram = Histogram(bounds)
+            histogram.observe(value)
+            assert histogram.counts.index(1) \
+                == scan(histogram.bounds, value), (bounds, value)
 
 
 def test_metrics_label_rendering_roundtrips():
