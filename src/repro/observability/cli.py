@@ -75,15 +75,8 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _record(args: argparse.Namespace) -> TraceRecordResult:
-    from repro.experiments.runner import (
-        ExperimentConfig,
-        build_system,
-        run_workload,
-    )
-    from repro.perfbench.harness import (
-        BENCH_UTILIZATION,
-        WORKLOADS,
-    )
+    from repro.experiments.runner import ExperimentConfig, run_workload
+    from repro.perfbench.harness import WORKLOADS, bench_span
 
     if args.out is None:
         raise registry.CliError("trace record needs --out PATH")
@@ -92,8 +85,7 @@ def _record(args: argparse.Namespace) -> TraceRecordResult:
             f"unknown workload {args.workload!r}; choose from "
             f"{sorted(WORKLOADS)}")
     config = ExperimentConfig(track_history=False)
-    _, _, _, probe, _ = build_system(args.ftl, config)
-    span = max(1, int(probe.logical_pages * BENCH_UTILIZATION))
+    span = bench_span(args.ftl, config)
     from repro.scenarios import StreamScenario
 
     streams = WORKLOADS[args.workload](span, args.scale, args.seed)

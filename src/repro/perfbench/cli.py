@@ -19,7 +19,6 @@ from repro.perfbench.harness import (
     SCENARIO_REPLAY,
     TRACE_OVERHEAD_BUDGET_PCT,
     WORKLOADS,
-    PerfbenchResult,
     run_perfbench,
     run_physics_overhead,
     run_scale_sweep,
@@ -63,24 +62,26 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-overhead", action="store_true",
         help="measure enabled-tracing overhead instead of raw "
-             "throughput: alternating untraced/traced rounds of one "
-             "workload, median rates compared (see --overhead-budget)")
+             "throughput: paired untraced/traced rounds of one "
+             "workload, best-of rates compared (paired median as "
+             "cross-check; see --overhead-budget)")
     parser.add_argument(
         "--physics-overhead", action="store_true",
         help="measure the armed physics-error-engine overhead instead "
-             "of raw throughput: alternating plain/armed rounds of one "
+             "of raw throughput: paired plain/armed rounds of one "
              "workload, both arms with track_history=True "
              f"(budget {PHYSICS_OVERHEAD_BUDGET_PCT:g}% unless "
              "--overhead-budget is given)")
     parser.add_argument(
         "--scale-sweep", action="store_true",
-        help="benchmark one workload at 1x/4x/16x chip counts, new "
-             "config vs the heap/event oracle on identical streams "
+        help="benchmark one workload at 1x/4x/16x chip counts, default "
+             "kernel vs the heap oracle on identical streams "
              "(event counts cross-checked; see docs/PERFORMANCE.md)")
     parser.add_argument(
         "--rounds", type=int, default=None,
         help="measurement rounds per arm (default 5 for "
-             "--trace-overhead, 3 for --scale-sweep)")
+             "--trace-overhead and --physics-overhead, 3 for "
+             "--scale-sweep)")
     parser.add_argument(
         "--sweep-multipliers", default="1,4,16", metavar="M,M,...",
         help="comma-separated chip-count multipliers for "
@@ -94,10 +95,6 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
              f"exactly this value (default "
              f"{TRACE_OVERHEAD_BUDGET_PCT:g} for tracing, "
              f"{PHYSICS_OVERHEAD_BUDGET_PCT:g} for physics)")
-    parser.add_argument(
-        "--kernel", choices=("calendar", "heap"), default="calendar",
-        help="event-queue implementation to benchmark "
-             "(default calendar; heap is the frozen oracle)")
 
 
 def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
@@ -111,58 +108,29 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
     if len(modes) > 1:
         raise registry.CliError(
             f"{' and '.join(modes)} are mutually exclusive")
-    if args.trace_overhead:
-        workload = workloads[0] if workloads else "fig8_write"
-        try:
-            return run_trace_overhead(
-                workload=workload,
-                scale=scale,
-                seed=args.seed,
-                rounds=args.rounds if args.rounds is not None else 5,
-                budget_pct=(args.overhead_budget
-                            if args.overhead_budget is not None
-                            else TRACE_OVERHEAD_BUDGET_PCT),
-                output_path=args.output,
-            )
-        except (KeyError, ValueError) as error:
-            raise registry.CliError(str(error.args[0])) from error
-    if args.physics_overhead:
-        workload = workloads[0] if workloads else "fig8_write"
-        try:
-            return run_physics_overhead(
-                workload=workload,
-                scale=scale,
-                seed=args.seed,
-                rounds=args.rounds if args.rounds is not None else 5,
-                budget_pct=(args.overhead_budget
-                            if args.overhead_budget is not None
-                            else PHYSICS_OVERHEAD_BUDGET_PCT),
-                output_path=args.output,
-            )
-        except (KeyError, ValueError) as error:
-            raise registry.CliError(str(error.args[0])) from error
+    # Keywords of the paired modes; an omitted --rounds or
+    # --overhead-budget keeps the mode's own default.
+    paired = dict(workload=workloads[0] if workloads else "fig8_write",
+                  scale=scale, seed=args.seed, output_path=args.output)
+    if args.rounds is not None:
+        paired["rounds"] = args.rounds
     if args.scale_sweep:
-        workload = workloads[0] if workloads else "fig8_write"
         try:
-            multipliers = tuple(
+            paired["multipliers"] = tuple(
                 int(part) for part in args.sweep_multipliers.split(","))
         except ValueError as error:
             raise registry.CliError(
                 f"--sweep-multipliers must be comma-separated "
                 f"integers, got {args.sweep_multipliers!r}") from error
-        try:
-            return run_scale_sweep(
-                workload=workload,
-                scale=scale,
-                seed=args.seed,
-                rounds=args.rounds if args.rounds is not None else 3,
-                multipliers=multipliers,
-                kernel=args.kernel,
-                output_path=args.output,
-            )
-        except (KeyError, ValueError) as error:
-            raise registry.CliError(str(error.args[0])) from error
+    elif args.overhead_budget is not None:
+        paired["budget_pct"] = args.overhead_budget
     try:
+        if args.trace_overhead:
+            return run_trace_overhead(**paired)
+        if args.physics_overhead:
+            return run_physics_overhead(**paired)
+        if args.scale_sweep:
+            return run_scale_sweep(**paired)
         return run_perfbench(
             workloads=workloads,
             scale=scale,
@@ -171,15 +139,14 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
             floor=args.floor,
             profile_path=args.profile,
             output_path=args.output,
-            kernel=args.kernel,
         )
     except (KeyError, ValueError) as error:
         raise registry.CliError(str(error.args[0])) from error
 
 
-# Render/to_dict are duck-typed: _cli_run returns a PerfbenchResult or
-# (with --trace-overhead) a TraceOverheadResult; both carry render(),
-# to_dict() and passed().
+# Render/to_dict are duck-typed: _cli_run returns a PerfbenchResult, a
+# PairedResult (--trace-overhead, --physics-overhead) or a
+# ScaleSweepResult; all carry render(), to_dict() and passed().
 registry.register(registry.Experiment(
     name="perfbench",
     help="core throughput benchmark (events/sec, host-ops/sec)",

@@ -26,7 +26,9 @@ simulation allocates hundreds of thousands of acyclic objects per run
 and collector pauses only add variance, not signal.
 
 Wall-clock numbers are inherently noisy (+/-10% on a busy machine);
-compare medians of several runs, never single samples.
+compare two configurations only through :func:`run_paired`, never
+through single samples.  The trace-overhead, physics-overhead and
+scale-sweep modes are configurations of it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import platform
 import statistics
 import time
 from math import isqrt
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -100,6 +102,19 @@ PHYSICS_BENCH_RETENTION_HOURS = 8760.0
 #: ``sqrt(m)`` per axis, so the chip count scales by exactly ``m``).
 SWEEP_MULTIPLIERS = (1, 4, 16)
 
+#: How :func:`run_paired` times a comparison; recorded in every
+#: paired report.
+PAIRED_METHODOLOGY = (
+    "paired runs of a reference arm A and an arm under test B on fresh "
+    "systems with identical streams, arm order alternating per round "
+    "(A first in even rounds, B first in odd), GC quiesced, fill + "
+    "workload inside the timed region; the headline compares the best "
+    "(fastest) observation of each arm because noise is strictly "
+    "additive; the median of per-pair ratios is the drift-robust "
+    "cross-check (an off/off control of this protocol measured +0.4% "
+    "median with +-10% pair jitter); event counts asserted identical "
+    "across every run")
+
 
 @contextlib.contextmanager
 def _quiesced_gc():
@@ -137,10 +152,10 @@ def sweep_geometry(multiplier: int) -> NandGeometry:
     )
 
 
-def _bench_span(config: ExperimentConfig) -> int:
-    """Benchmark footprint: :data:`BENCH_UTILIZATION` of the FTL's
-    logical space."""
-    _, _, _, ftl, _ = build_system(BENCH_FTL, config)
+def bench_span(ftl_name: str, config: ExperimentConfig) -> int:
+    """Benchmark footprint: :data:`BENCH_UTILIZATION` of the logical
+    space ``ftl_name`` exports under ``config``."""
+    _, _, _, ftl, _ = build_system(ftl_name, config)
     return max(1, int(ftl.logical_pages * BENCH_UTILIZATION))
 
 
@@ -211,6 +226,36 @@ SCENARIO_REPLAY = "scenario_replay"
 SCENARIO_REPLAY_PRESET = "fileserver"
 
 
+def _workload_keywords(workload: str, span: int, scale: float, seed: int,
+                       supported: Dict[str, Callable[..., Any]]
+                       ) -> Dict[str, Any]:
+    """``run_workload`` keywords that run one of ``supported``."""
+    if workload not in supported:
+        raise KeyError(f"unknown workload {workload!r}; choose from "
+                       f"{sorted(supported)}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    if workload in QOS_WORKLOADS:
+        return {"tenants": QOS_WORKLOADS[workload](span, scale, seed),
+                "arbiter": QOS_ARBITER}
+    return {"scenario": StreamScenario.from_streams(
+        WORKLOADS[workload](span, scale, seed))}
+
+
+def _report(**fields: object) -> Dict[str, object]:
+    """A JSON report: the header every perfbench mode records, then
+    ``fields``."""
+    return {"ftl": BENCH_FTL, "python": platform.python_version(),
+            "core": active_core(), **fields}
+
+
+def _write_report(result: Any, output_path: Optional[str]) -> None:
+    if output_path is not None:
+        with open(output_path, "w", encoding="utf-8") as handle:
+            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+
 @dataclasses.dataclass(frozen=True)
 class WorkloadTiming:
     """One timed workload run."""
@@ -236,7 +281,6 @@ class PerfbenchResult:
     track_history: bool
     floor: Optional[float] = None
     profile_path: Optional[str] = None
-    kernel: str = "calendar"
 
     # -- summary -------------------------------------------------------
 
@@ -257,21 +301,17 @@ class PerfbenchResult:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON projection (the ``BENCH_PR2.json`` schema)."""
-        payload: Dict[str, object] = {
-            "ftl": BENCH_FTL,
-            "scale": self.scale,
-            "span": self.span,
-            "track_history": self.track_history,
-            "kernel": self.kernel,
-            "python": platform.python_version(),
-            "core": active_core(),
-            "workloads": {name: t.to_dict()
-                          for name, t in self.timings.items()},
-            "summary": {
+        payload = _report(
+            scale=self.scale,
+            span=self.span,
+            track_history=self.track_history,
+            workloads={name: t.to_dict()
+                       for name, t in self.timings.items()},
+            summary={
                 "min_events_per_sec": self.min_events_per_sec(),
                 "median_events_per_sec": self.median_events_per_sec(),
             },
-        }
+        )
         if self.floor is not None:
             payload["floor"] = {
                 "events_per_sec": self.floor,
@@ -336,12 +376,6 @@ def time_run(name: str, config: ExperimentConfig, warmup_span: int,
     )
 
 
-def _stream_scenario(workload: str, span: int, scale: float,
-                     seed: int) -> StreamScenario:
-    return StreamScenario.from_streams(WORKLOADS[workload](span, scale,
-                                                           seed))
-
-
 def _scenario_replay_case(span: int, scale: float, seed: int,
                           config: ExperimentConfig) -> WorkloadTiming:
     """Export the replay preset to a temp CSV and time its replay.
@@ -368,108 +402,134 @@ def _scenario_replay_case(span: int, scale: float, seed: int,
 
 
 @dataclasses.dataclass
-class TraceOverheadResult:
-    """Outcome of ``repro perfbench --trace-overhead``.
+class PairedResult:
+    """Rates of the two arms of one :func:`run_paired` comparison.
 
-    ``off``/``on`` hold per-pair event rates from paired
-    untraced/traced runs; within each pair the execution order
-    alternates (off-first on even pairs, on-first on odd) so that slow
-    wall-clock drift cancels instead of biasing one arm.
+    ``a`` holds events/sec of the reference arm (untraced, plain, heap
+    kernel) and ``b`` of the arm under test, one entry per round; every
+    run of both arms processed ``events`` kernel events.
 
-    Two estimators are reported.  The headline :meth:`overhead_pct` is
-    the *best-of* (minimum-time) estimate — external noise only ever
-    slows a run down, so the fastest observation of each arm is the
-    closest to the true cost, which is why ``timeit`` recommends
-    ``min()`` over means.  :meth:`paired_median_pct` (the median of
-    per-pair on/off ratios) is the drift-robust cross-check; on a
-    loaded machine it can overstate the true cost by several percent
-    (an off/off control run of the same protocol measured +0.4%
-    median, individual pairs jittering well past +-10%).
+    The headline estimators (:meth:`speedup`, :meth:`overhead_pct`)
+    compare the *best* observation of each arm: external noise only
+    ever slows a run down, so the fastest observation is the closest
+    to the true cost, which is why ``timeit`` recommends ``min()``
+    over means.  :meth:`paired_median_pct`, the median of per-pair
+    slowdowns, is the drift-robust cross-check; on a loaded machine it
+    can overstate the true cost by several percent.
     """
 
-    workload: str
-    scale: float
-    span: int
-    rounds: int
-    off: List[float]
-    on: List[float]
-    budget_pct: float
+    #: first line of :meth:`render`
+    title: str
+    #: JSON/text names of arm A and arm B
+    labels: Tuple[str, str]
+    a: List[float]
+    b: List[float]
+    events: int
+    #: largest acceptable :meth:`overhead_pct` (None: no verdict)
+    budget_pct: Optional[float] = None
+    #: JSON fields recorded verbatim ahead of the pair data
+    context: Dict[str, object] = dataclasses.field(default_factory=dict)
 
-    def best_off(self) -> float:
-        return max(self.off)
+    def speedup(self) -> float:
+        """Best-of rate of arm B over best-of rate of arm A."""
+        return max(self.b) / max(self.a)
 
-    def best_on(self) -> float:
-        return max(self.on)
+    def overhead_pct(self) -> float:
+        """Headline slowdown of arm B, in percent (best-of)."""
+        best_a = max(self.a)
+        return (best_a - max(self.b)) / best_a * 100.0
 
     def pair_overheads_pct(self) -> List[float]:
-        """Per-pair slowdown ``100 * (1 - on/off)``, in percent."""
-        return [(off - on) / off * 100.0
-                for off, on in zip(self.off, self.on)]
+        """Per-pair slowdown ``100 * (1 - b/a)``, in percent."""
+        return [(a - b) / a * 100.0 for a, b in zip(self.a, self.b)]
 
     def paired_median_pct(self) -> float:
         """Median of the per-pair slowdowns (drift-robust, noise-shy)."""
         return statistics.median(self.pair_overheads_pct())
 
-    def overhead_pct(self) -> float:
-        """Headline slowdown: best-of-N off vs best-of-N on."""
-        off = self.best_off()
-        return (off - self.best_on()) / off * 100.0
-
     def passed(self) -> bool:
-        return self.overhead_pct() <= self.budget_pct
+        return (self.budget_pct is None
+                or self.overhead_pct() <= self.budget_pct)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON projection (the ``BENCH_PR5.json`` schema)."""
+        """JSON projection (an overhead report is the ``BENCH_PR5.json``
+        schema, a sweep point one entry of ``BENCH_PR7.json``'s
+        ``points``)."""
+        name_a, name_b = self.labels
+        summary: Dict[str, object] = {
+            f"best_{name_a}": max(self.a),
+            f"best_{name_b}": max(self.b),
+            "speedup": self.speedup(),
+            "overhead_pct": self.overhead_pct(),
+            "paired_median_pct": self.paired_median_pct(),
+        }
+        if self.budget_pct is not None:
+            summary["budget_pct"] = self.budget_pct
+            summary["passed"] = self.passed()
         return {
-            "ftl": BENCH_FTL,
-            "workload": self.workload,
-            "scale": self.scale,
-            "span": self.span,
-            "rounds": self.rounds,
-            "python": platform.python_version(),
-            "core": active_core(),
-            "methodology": (
-                "paired untraced/traced runs on fresh systems with "
-                "within-pair order alternating per pair, fill + "
-                "workload inside the timed region; headline overhead "
-                "compares the best (fastest) observation of each arm "
-                "because noise is strictly additive; the median of "
-                "per-pair ratios is reported as a drift-robust "
-                "cross-check (an off/off control of this protocol "
-                "measured +0.4% median with +-10% pair jitter)"),
-            "events_per_sec": {"off": list(self.off),
-                               "on": list(self.on)},
+            **self.context,
+            "events": self.events,
+            "events_per_sec": {name_a: list(self.a), name_b: list(self.b)},
             "pair_overheads_pct": self.pair_overheads_pct(),
-            "summary": {
-                "best_off": self.best_off(),
-                "best_on": self.best_on(),
-                "overhead_pct": self.overhead_pct(),
-                "paired_median_pct": self.paired_median_pct(),
-                "budget_pct": self.budget_pct,
-                "passed": self.passed(),
-            },
+            "summary": summary,
         }
 
     def render(self) -> str:
+        name_a, name_b = self.labels
         rows = [
-            f"trace overhead: {self.workload} x{self.rounds} pairs "
-            f"(scale {self.scale:g})",
-            f"{'pair':>5s} {'off ev/s':>10s} {'on ev/s':>10s} "
+            self.title,
+            f"{'pair':>5s} {name_a + ' ev/s':>10s} {name_b + ' ev/s':>10s} "
             f"{'pair %':>8s}",
         ]
-        pair_pcts = self.pair_overheads_pct()
-        for index, (off, on) in enumerate(zip(self.off, self.on)):
-            rows.append(f"{index:>5d} {off:>10.0f} {on:>10.0f} "
-                        f"{pair_pcts[index]:>+8.2f}")
+        for index, (a, b, pct) in enumerate(
+                zip(self.a, self.b, self.pair_overheads_pct())):
+            rows.append(f"{index:>5d} {a:>10.0f} {b:>10.0f} {pct:>+8.2f}")
         rows.append("")
-        verdict = "PASS" if self.passed() else "FAIL"
-        rows.append(
-            f"best off {self.best_off():.0f} ev/s, "
-            f"on {self.best_on():.0f} ev/s -> "
-            f"{self.overhead_pct():.2f}% overhead "
-            f"(paired median {self.paired_median_pct():+.2f}%, "
-            f"budget {self.budget_pct:g}%): {verdict}")
+        verdict = (f"best {name_a} {max(self.a):.0f} ev/s, "
+                   f"{name_b} {max(self.b):.0f} ev/s -> "
+                   f"{self.overhead_pct():.2f}% overhead "
+                   f"(paired median {self.paired_median_pct():+.2f}%")
+        if self.budget_pct is None:
+            rows.append(verdict + ")")
+        else:
+            rows.append(f"{verdict}, budget {self.budget_pct:g}%): "
+                        f"{'PASS' if self.passed() else 'FAIL'}")
         return "\n".join(rows)
+
+
+#: One arm of a paired comparison: returns fresh ``run_workload``
+#: keywords (``config=`` included) for each of its runs.
+Arm = Callable[[], Dict[str, Any]]
+
+
+def run_paired(name: str, span: int, rounds: int, arms: Tuple[Arm, Arm],
+               **result: Any) -> PairedResult:
+    """Time ``rounds`` pairs of runs of two arms through :func:`time_run`.
+
+    Arm A runs first in even rounds and arm B in odd ones, so slow
+    wall-clock drift cancels instead of biasing one arm.  Every run of
+    both arms must process the same number of kernel events — a rate
+    comparison between different runs means nothing — so a mismatch
+    raises ``RuntimeError``.  ``result`` holds the remaining
+    :class:`PairedResult` fields (``title``, ``labels``, ...).
+    """
+    if rounds <= 0:
+        raise ValueError(f"rounds must be positive, got {rounds}")
+    rates: Tuple[List[float], List[float]] = ([], [])
+    events: Optional[int] = None
+    for index in range(rounds):
+        for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+            timing = time_run(name, warmup_span=span, **arms[arm]())
+            if events is None:
+                events = timing.events
+            elif timing.events != events:
+                raise RuntimeError(
+                    f"{result['title']}: arm {'AB'[arm]} processed "
+                    f"{timing.events} events in round {index}, the first "
+                    f"run {events}; the arms diverged")
+            rates[arm].append(timing.events_per_sec)
+    assert events is not None
+    return PairedResult(a=rates[0], b=rates[1], events=events, **result)
 
 
 def run_trace_overhead(
@@ -479,142 +539,37 @@ def run_trace_overhead(
     rounds: int = 5,
     budget_pct: float = TRACE_OVERHEAD_BUDGET_PCT,
     output_path: Optional[str] = None,
-) -> TraceOverheadResult:
+) -> PairedResult:
     """Measure the enabled-tracing slowdown against ``budget_pct``.
 
-    Runs ``rounds`` pairs of untraced and traced executions of one
+    A paired comparison (:func:`run_paired`) of untraced runs and runs
+    with a fresh :class:`~repro.observability.tracer.Tracer` on one
     :data:`WORKLOADS` or :data:`QOS_WORKLOADS` workload (a
     multi-tenant one also traces the QoS front-end's admissions and
-    arbitration decisions), alternating which arm goes first
-    within each pair, and compares the best observation of each arm
-    (see :class:`TraceOverheadResult` for why best-of, not means).
-    This is the perf guard for the observability layer: the
-    determinism guard (traced results byte-identical) lives in the
-    test suite, this one bounds the wall-clock price — and raises
-    ``RuntimeError`` if the two arms of a pair ever process different
-    event counts, since a rate comparison between different runs
-    means nothing.
+    arbitration decisions).  This is the perf guard for the
+    observability layer: the determinism guard (traced results
+    byte-identical) lives in the test suite, this one bounds the
+    wall-clock price.
     """
-    if workload not in WORKLOADS and workload not in QOS_WORKLOADS:
-        raise KeyError(f"unknown workload {workload!r}; trace overhead "
-                       f"supports {sorted({**WORKLOADS, **QOS_WORKLOADS})}")
-    if rounds <= 0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
     from repro.observability.tracer import Tracer
 
     config = ExperimentConfig(track_history=False)
-    span = _bench_span(config)
-    if workload in WORKLOADS:
-        run: Dict[str, Any] = {
-            "scenario": _stream_scenario(workload, span, scale, seed)}
-    else:
-        run = {"tenants": QOS_WORKLOADS[workload](span, scale, seed),
-               "arbiter": QOS_ARBITER}
-
-    off: List[float] = []
-    on: List[float] = []
-    for index in range(rounds):
-        arms = [(off, False), (on, True)]
-        if index % 2:
-            arms = arms[::-1]
-        events = []
-        for rates, traced in arms:
-            timing = time_run(workload, config, span, **run,
-                              tracer=Tracer() if traced else None)
-            rates.append(timing.events_per_sec)
-            events.append(timing.events)
-        if events[0] != events[1]:
-            raise RuntimeError(
-                f"tracing changed the run in pair {index}: "
-                f"{events[0]} events != {events[1]} between the arms")
-
-    result = TraceOverheadResult(
-        workload=workload,
-        scale=scale,
-        span=span,
-        rounds=rounds,
-        off=off,
-        on=on,
+    span = bench_span(BENCH_FTL, config)
+    run = {"config": config, **_workload_keywords(
+        workload, span, scale, seed, {**WORKLOADS, **QOS_WORKLOADS})}
+    result = run_paired(
+        workload, span, rounds,
+        (lambda: run, lambda: {**run, "tracer": Tracer()}),
+        title=f"trace overhead: {workload} x{rounds} pairs "
+              f"(scale {scale:g})",
+        labels=("off", "on"),
         budget_pct=budget_pct,
+        context=_report(workload=workload, scale=scale, span=span,
+                        rounds=rounds, track_history=False,
+                        methodology=PAIRED_METHODOLOGY),
     )
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_report(result, output_path)
     return result
-
-
-@dataclasses.dataclass
-class PhysicsOverheadResult(TraceOverheadResult):
-    """Outcome of ``repro perfbench --physics-overhead``.
-
-    Same paired-measurement estimators as
-    :class:`TraceOverheadResult` (best-of headline, paired-median
-    cross-check, alternating within-pair order), applied to the
-    physics-grounded error engine: ``off`` runs plain, ``on`` runs
-    with a :class:`~repro.reliability.physics.PhysicsEngine` armed at
-    the :data:`PHYSICS_BENCH_PE`/:data:`PHYSICS_BENCH_RETENTION_HOURS`
-    stress point.  Both arms keep ``track_history=True`` so the
-    overhead is the engine's alone.
-    """
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON projection (the ``BENCH_PR10.json`` schema)."""
-        return {
-            "ftl": BENCH_FTL,
-            "workload": self.workload,
-            "scale": self.scale,
-            "span": self.span,
-            "rounds": self.rounds,
-            "python": platform.python_version(),
-            "core": active_core(),
-            "physics": {
-                "pe_baseline": PHYSICS_BENCH_PE,
-                "retention_baseline_hours": PHYSICS_BENCH_RETENTION_HOURS,
-            },
-            "methodology": (
-                "paired plain/physics-armed runs on fresh systems "
-                "(both arms track_history=True, the engine's "
-                "prerequisite) with within-pair order alternating per "
-                "pair, fill + engine arming + workload inside the "
-                "timed region; headline overhead compares the best "
-                "(fastest) observation of each arm because noise is "
-                "strictly additive; the median of per-pair ratios is "
-                "the drift-robust cross-check"),
-            "events_per_sec": {"off": list(self.off),
-                               "on": list(self.on)},
-            "pair_overheads_pct": self.pair_overheads_pct(),
-            "summary": {
-                "best_off": self.best_off(),
-                "best_on": self.best_on(),
-                "overhead_pct": self.overhead_pct(),
-                "paired_median_pct": self.paired_median_pct(),
-                "budget_pct": self.budget_pct,
-                "passed": self.passed(),
-            },
-        }
-
-    def render(self) -> str:
-        rows = [
-            f"physics overhead: {self.workload} x{self.rounds} pairs "
-            f"(scale {self.scale:g}, pe={PHYSICS_BENCH_PE}, "
-            f"ret={PHYSICS_BENCH_RETENTION_HOURS:g}h)",
-            f"{'pair':>5s} {'off ev/s':>10s} {'on ev/s':>10s} "
-            f"{'pair %':>8s}",
-        ]
-        pair_pcts = self.pair_overheads_pct()
-        for index, (off, on) in enumerate(zip(self.off, self.on)):
-            rows.append(f"{index:>5d} {off:>10.0f} {on:>10.0f} "
-                        f"{pair_pcts[index]:>+8.2f}")
-        rows.append("")
-        verdict = "PASS" if self.passed() else "FAIL"
-        rows.append(
-            f"best off {self.best_off():.0f} ev/s, "
-            f"on {self.best_on():.0f} ev/s -> "
-            f"{self.overhead_pct():.2f}% overhead "
-            f"(paired median {self.paired_median_pct():+.2f}%, "
-            f"budget {self.budget_pct:g}%): {verdict}")
-        return "\n".join(rows)
 
 
 def run_physics_overhead(
@@ -624,122 +579,59 @@ def run_physics_overhead(
     rounds: int = 5,
     budget_pct: float = PHYSICS_OVERHEAD_BUDGET_PCT,
     output_path: Optional[str] = None,
-) -> PhysicsOverheadResult:
+) -> PairedResult:
     """Measure the armed-physics slowdown against ``budget_pct``.
 
-    The physics twin of :func:`run_trace_overhead`: ``rounds`` pairs
-    of plain and physics-armed executions of one :data:`WORKLOADS`
-    workload, within-pair order alternating, best observation of each
-    arm compared.  Both arms run with ``track_history=True`` (the
-    engine cannot prime without block histories), so the reported
-    overhead is the engine's sampling/bookkeeping cost alone — the
-    history-tracking cost itself is covered by ``--full-history`` on
-    the main benchmark.
+    A paired comparison (:func:`run_paired`) of plain runs and runs
+    with a :class:`~repro.reliability.physics.PhysicsEngine` armed at
+    the :data:`PHYSICS_BENCH_PE`/:data:`PHYSICS_BENCH_RETENTION_HOURS`
+    stress point, on one :data:`WORKLOADS` workload.  Both arms run
+    with ``track_history=True`` (the engine cannot prime without block
+    histories), so the reported overhead is the engine's
+    sampling/bookkeeping cost alone — the history-tracking cost itself
+    is covered by ``--full-history`` on the main benchmark.
     """
     from repro.reliability.physics import PhysicsConfig
 
-    if workload not in WORKLOADS:
-        raise KeyError(f"unknown workload {workload!r}; physics "
-                       f"overhead supports {sorted(WORKLOADS)}")
-    if rounds <= 0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
     config = ExperimentConfig(track_history=True)
-    span = _bench_span(config)
-    scenario = _stream_scenario(workload, span, scale, seed)
+    span = bench_span(BENCH_FTL, config)
+    run = {"config": config,
+           **_workload_keywords(workload, span, scale, seed, WORKLOADS)}
     physics = PhysicsConfig(
         pe_baseline=PHYSICS_BENCH_PE,
         retention_baseline_hours=PHYSICS_BENCH_RETENTION_HOURS,
     )
-
-    off: List[float] = []
-    on: List[float] = []
-    for index in range(rounds):
-        arms = [(off, None), (on, physics)]
-        if index % 2:
-            arms = arms[::-1]
-        for rates, armed in arms:
-            rates.append(time_run(workload, config, span,
-                                  scenario=scenario,
-                                  physics=armed).events_per_sec)
-
-    result = PhysicsOverheadResult(
-        workload=workload,
-        scale=scale,
-        span=span,
-        rounds=rounds,
-        off=off,
-        on=on,
+    result = run_paired(
+        workload, span, rounds,
+        (lambda: run, lambda: {**run, "physics": physics}),
+        title=f"physics overhead: {workload} x{rounds} pairs "
+              f"(scale {scale:g}, pe={PHYSICS_BENCH_PE}, "
+              f"ret={PHYSICS_BENCH_RETENTION_HOURS:g}h)",
+        labels=("off", "on"),
         budget_pct=budget_pct,
+        context=_report(
+            workload=workload, scale=scale, span=span, rounds=rounds,
+            track_history=True, methodology=PAIRED_METHODOLOGY,
+            physics={
+                "pe_baseline": PHYSICS_BENCH_PE,
+                "retention_baseline_hours": PHYSICS_BENCH_RETENTION_HOURS,
+            }),
     )
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_report(result, output_path)
     return result
 
 
 @dataclasses.dataclass
-class SweepPoint:
-    """One geometry of a ``--scale-sweep`` run.
-
-    ``new`` holds events/sec of the configuration under test (the
-    default calendar kernel), ``baseline`` of the heap-kernel
-    oracle on the *same* streams; the two arms run
-    interleaved with alternating order so wall-clock drift cancels.
-    ``events`` is asserted identical across every run of both arms —
-    the sweep doubles as an end-to-end equivalence check.
-    """
-
-    multiplier: int
-    channels: int
-    chips_per_channel: int
-    total_chips: int
-    span: int
-    events: int
-    new: List[float]
-    baseline: List[float]
-
-    def best_new(self) -> float:
-        return max(self.new)
-
-    def best_baseline(self) -> float:
-        return max(self.baseline)
-
-    def speedup(self) -> float:
-        """Best-of new rate over best-of baseline rate."""
-        return self.best_new() / self.best_baseline()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "multiplier": self.multiplier,
-            "channels": self.channels,
-            "chips_per_channel": self.chips_per_channel,
-            "total_chips": self.total_chips,
-            "span": self.span,
-            "events": self.events,
-            "events_per_sec": {"new": list(self.new),
-                               "baseline": list(self.baseline)},
-            "summary": {
-                "best_new": self.best_new(),
-                "best_baseline": self.best_baseline(),
-                "speedup": self.speedup(),
-            },
-        }
-
-
-@dataclasses.dataclass
 class ScaleSweepResult:
-    """Outcome of ``repro perfbench --scale-sweep``."""
+    """Outcome of ``repro perfbench --scale-sweep``: one
+    :class:`PairedResult` per geometry multiplier, heap-kernel oracle
+    (``baseline``) against the default kernel (``new``)."""
 
     workload: str
     scale: float
     seed: int
     rounds: int
-    kernel: str
-    points: List[SweepPoint]
-    #: free-form context block recorded verbatim in the JSON (e.g. the
-    #: prior bench file this sweep is compared against).
-    reference: Optional[Dict[str, object]] = None
+    points: List[PairedResult]
 
     def passed(self) -> bool:
         """The sweep has no floor; it fails only on construction (an
@@ -748,42 +640,29 @@ class ScaleSweepResult:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON projection (the ``BENCH_PR7.json`` schema)."""
-        payload: Dict[str, object] = {
-            "ftl": BENCH_FTL,
-            "workload": self.workload,
-            "scale": self.scale,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "kernel": self.kernel,
-            "python": platform.python_version(),
-            "core": active_core(),
-            "methodology": (
-                "per geometry multiplier, paired runs of the "
-                "configuration under test and the heap-kernel "
-                "oracle on identical streams, order "
-                "alternating per round, GC quiesced, warm-up fill "
-                "inside the timed region; best-of rates compared "
-                "(noise is strictly additive); event counts asserted "
-                "identical across arms"),
-            "points": [p.to_dict() for p in self.points],
-        }
-        if self.reference is not None:
-            payload["reference"] = self.reference
-        return payload
+        return _report(
+            workload=self.workload,
+            scale=self.scale,
+            seed=self.seed,
+            rounds=self.rounds,
+            kernel=ExperimentConfig().kernel,
+            methodology=PAIRED_METHODOLOGY,
+            points=[p.to_dict() for p in self.points],
+        )
 
     def render(self) -> str:
         rows = [
             f"scale sweep: {self.workload} (scale {self.scale:g}, "
-            f"{self.rounds} rounds/arm, kernel={self.kernel} vs "
-            f"heap baseline)",
+            f"{self.rounds} rounds/arm, kernel={ExperimentConfig().kernel}"
+            f" vs heap baseline)",
             f"{'mult':>5s} {'chips':>6s} {'events':>9s} "
             f"{'new ev/s':>10s} {'base ev/s':>10s} {'speedup':>8s}",
         ]
         for p in self.points:
             rows.append(
-                f"{p.multiplier:>4d}x {p.total_chips:>6d} "
-                f"{p.events:>9d} {p.best_new():>10.0f} "
-                f"{p.best_baseline():>10.0f} {p.speedup():>8.3f}")
+                f"{p.title:>5s} {p.context['total_chips']:>6d} "
+                f"{p.events:>9d} {max(p.b):>10.0f} "
+                f"{max(p.a):>10.0f} {p.speedup():>8.3f}")
         return "\n".join(rows)
 
 
@@ -793,78 +672,40 @@ def run_scale_sweep(
     seed: int = 1,
     rounds: int = 3,
     multipliers: Sequence[int] = SWEEP_MULTIPLIERS,
-    kernel: str = "calendar",
-    reference: Optional[Dict[str, object]] = None,
     output_path: Optional[str] = None,
 ) -> ScaleSweepResult:
     """Benchmark one workload across geometry multipliers.
 
     For each multiplier the device grows to ``m`` times the chips
     (:func:`sweep_geometry`) and the same generated streams are timed
-    under both the configuration under test (``kernel``) and the
-    frozen heap-kernel oracle, interleaved.
-    Every run's event count must match across arms — a mismatch means
-    the kernels diverged and raises ``RuntimeError`` rather than
-    reporting a meaningless speedup.
+    by :func:`run_paired` under the frozen heap-kernel oracle (arm A)
+    and the default kernel (arm B), so the sweep doubles as an
+    end-to-end kernel equivalence check.
     """
-    if workload not in WORKLOADS:
-        raise KeyError(f"unknown workload {workload!r}; the scale "
-                       f"sweep supports {sorted(WORKLOADS)}")
-    if rounds <= 0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    points: List[SweepPoint] = []
+    points: List[PairedResult] = []
     for multiplier in multipliers:
         geometry = sweep_geometry(multiplier)
-        new_config = ExperimentConfig(geometry=geometry,
-                                      track_history=False,
-                                      kernel=kernel)
-        base_config = ExperimentConfig(geometry=geometry,
-                                       track_history=False,
-                                       kernel="heap")
-        span = _bench_span(new_config)
-        scenario = _stream_scenario(workload, span, scale, seed)
-        new_rates: List[float] = []
-        base_rates: List[float] = []
-        events: Optional[int] = None
-        for index in range(rounds):
-            arms = ((new_config, new_rates), (base_config, base_rates))
-            if index % 2:
-                arms = arms[::-1]
-            for config, rates in arms:
-                timing = time_run(workload, config, span,
-                                  scenario=scenario)
-                if events is None:
-                    events = timing.events
-                elif timing.events != events:
-                    raise RuntimeError(
-                        f"kernel divergence at {multiplier}x: "
-                        f"{timing.events} events != {events}")
-                rates.append(timing.events_per_sec)
-        points.append(SweepPoint(
-            multiplier=multiplier,
-            channels=geometry.channels,
-            chips_per_channel=geometry.chips_per_channel,
-            total_chips=geometry.total_chips,
-            span=span,
-            events=events if events is not None else 0,
-            new=new_rates,
-            baseline=base_rates,
+        config = ExperimentConfig(geometry=geometry, track_history=False)
+        heap = dataclasses.replace(config, kernel="heap")
+        span = bench_span(BENCH_FTL, config)
+        run = _workload_keywords(workload, span, scale, seed, WORKLOADS)
+        points.append(run_paired(
+            workload, span, rounds,
+            (lambda: {**run, "config": heap},
+             lambda: {**run, "config": config}),
+            title=f"{multiplier}x",
+            labels=("baseline", "new"),
+            context={
+                "multiplier": multiplier,
+                "channels": geometry.channels,
+                "chips_per_channel": geometry.chips_per_channel,
+                "total_chips": geometry.total_chips,
+                "span": span,
+            },
         ))
-    result = ScaleSweepResult(
-        workload=workload,
-        scale=scale,
-        seed=seed,
-        rounds=rounds,
-        kernel=kernel,
-        points=points,
-        reference=reference,
-    )
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    result = ScaleSweepResult(workload=workload, scale=scale, seed=seed,
+                              rounds=rounds, points=points)
+    _write_report(result, output_path)
     return result
 
 
@@ -876,7 +717,6 @@ def run_perfbench(
     floor: Optional[float] = None,
     profile_path: Optional[str] = None,
     output_path: Optional[str] = None,
-    kernel: str = "calendar",
 ) -> PerfbenchResult:
     """Run the throughput benchmark.
 
@@ -898,23 +738,19 @@ def run_perfbench(
             hotspot hunting, not for rates).
         output_path: when given, the JSON projection is written here
             (this is how ``BENCH_PR2.json`` is produced).
-        kernel: event-queue implementation to benchmark ("calendar"
-            or the oracle "heap").
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     names = list(workloads) if workloads else list(WORKLOADS)
+    supported = {**WORKLOADS, **QOS_WORKLOADS,
+                 SCENARIO_REPLAY: _scenario_replay_case}
     for name in names:
-        if (name not in WORKLOADS and name not in QOS_WORKLOADS
-                and name != SCENARIO_REPLAY):
-            known = sorted({**WORKLOADS, **QOS_WORKLOADS,
-                            SCENARIO_REPLAY: None})
+        if name not in supported:
             raise KeyError(
-                f"unknown workload {name!r}; choose from {known}"
-            )
-    config = ExperimentConfig(track_history=track_history,
-                              kernel=kernel)
-    span = _bench_span(config)
+                f"unknown workload {name!r}; choose from "
+                f"{sorted(supported)}")
+    config = ExperimentConfig(track_history=track_history)
+    span = bench_span(BENCH_FTL, config)
 
     profiler = None
     if profile_path is not None:
@@ -925,18 +761,14 @@ def run_perfbench(
     try:
         timings = {}
         for name in names:
-            if name in WORKLOADS:
-                timings[name] = time_run(
-                    name, config, span,
-                    scenario=_stream_scenario(name, span, scale, seed))
-            elif name == SCENARIO_REPLAY:
+            if name == SCENARIO_REPLAY:
                 timings[name] = _scenario_replay_case(span, scale,
                                                       seed, config)
             else:
-                timings[name] = time_run(
-                    name, config, span,
-                    tenants=QOS_WORKLOADS[name](span, scale, seed),
-                    arbiter=QOS_ARBITER)
+                timings[name] = time_run(name, config, span,
+                                         **_workload_keywords(
+                                             name, span, scale, seed,
+                                             supported))
     finally:
         if profiler is not None:
             profiler.disable()
@@ -949,10 +781,6 @@ def run_perfbench(
         track_history=track_history,
         floor=floor,
         profile_path=profile_path,
-        kernel=kernel,
     )
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_report(result, output_path)
     return result

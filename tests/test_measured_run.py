@@ -40,6 +40,19 @@ from repro.sim.queues import RequestKind
 #: Power cuts inside the measured phase of a few thousand 1-page ops.
 CUTS = [0.004, 0.008]
 
+#: Each paired perfbench comparison, and how to tell a run of its arm
+#: under test (B) from one of its reference arm (A) by the keywords
+#: ``time_run`` receives.
+PAIRED_MODES = {
+    "trace": (harness.run_trace_overhead,
+              lambda kwargs: kwargs.get("tracer") is not None),
+    "physics": (harness.run_physics_overhead,
+                lambda kwargs: kwargs.get("physics") is not None),
+    "sweep": (lambda **kwargs: harness.run_scale_sweep(multipliers=(1,),
+                                                       **kwargs),
+              lambda kwargs: kwargs["config"].kernel != "heap"),
+}
+
 TINY_TENANTS = [TenantSpec.make("a", [[
     StreamOp(RequestKind.WRITE, lpn, 1) for lpn in range(16)]])]
 
@@ -242,20 +255,40 @@ class TestOnePipeline:
                               tracer=tracer)
         assert result.stats.metrics is tracer.metrics
 
-    def test_trace_overhead_refuses_diverging_arms(self, monkeypatch):
-        """A traced arm that processes a different event count than its
-        untraced partner makes the rate comparison meaningless."""
+    @pytest.mark.parametrize("mode", PAIRED_MODES)
+    def test_trace_overhead_refuses_diverging_arms(self, monkeypatch,
+                                                   mode):
+        """An arm that processes a different event count than its
+        partner makes the rate comparison meaningless, in every paired
+        comparison perfbench makes."""
+        run, in_arm_b = PAIRED_MODES[mode]
         real = harness.time_run
 
-        def diverging(*args, tracer=None, **kwargs):
-            timing = real(*args, tracer=tracer, **kwargs)
-            if tracer is None:
+        def diverging(*args, **kwargs):
+            timing = real(*args, **kwargs)
+            if not in_arm_b(kwargs):
                 return timing
             return dataclasses.replace(timing, events=timing.events + 1)
 
         monkeypatch.setattr(harness, "time_run", diverging)
-        with pytest.raises(RuntimeError, match="tracing changed"):
-            harness.run_trace_overhead(scale=0.02, rounds=1)
+        with pytest.raises(RuntimeError, match="arms diverged"):
+            run(scale=0.02, rounds=1)
+
+    @pytest.mark.parametrize("mode", PAIRED_MODES)
+    def test_paired_arm_order_alternates(self, monkeypatch, mode):
+        """Pair 0 runs arm A first, pair 1 arm B first; the two arms
+        differ only in the keyword the mode compares."""
+        run, in_arm_b = PAIRED_MODES[mode]
+        real = harness.time_run
+        order = []
+
+        def recording(*args, **kwargs):
+            order.append("B" if in_arm_b(kwargs) else "A")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "time_run", recording)
+        run(scale=0.02, rounds=2)
+        assert order == ["A", "B", "B", "A"]
 
     def test_stream_scenario_cell_spec_is_plain_data(self):
         streams = [[StreamOp(RequestKind.WRITE, lpn, 1)

@@ -1,14 +1,24 @@
 """Tests for repro.perfbench: the core throughput benchmark."""
 
+import dataclasses
 import json
 import pstats
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import registry
-from repro.perfbench.harness import WORKLOADS, run_perfbench
+from repro.perfbench.harness import (
+    WORKLOADS,
+    PairedResult,
+    run_perfbench,
+    run_physics_overhead,
+    run_trace_overhead,
+)
 from repro.sim import _native
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Smallest meaningful run: op floors kick in, the warm-up fill still
 #: dominates, each workload finishes in well under a second.
@@ -148,14 +158,24 @@ class TestScaleSweep:
         result = run_scale_sweep(scale=0.01, rounds=1,
                                  multipliers=(1, 4),
                                  output_path=str(out))
-        assert [p.multiplier for p in result.points] == [1, 4]
+        assert [p.context["multiplier"] for p in result.points] == [1, 4]
         for point in result.points:
             assert point.events > 0
-            assert len(point.new) == len(point.baseline) == 1
+            assert point.labels == ("baseline", "new")
+            assert len(point.a) == len(point.b) == 1
             assert point.speedup() > 0
         payload = result.to_dict()
         assert payload["kernel"] == "calendar"
         assert [p["multiplier"] for p in payload["points"]] == [1, 4]
+        # Every key of the committed full-scale report, except the
+        # one-off ``reference`` note and the deleted ``stepping`` field.
+        committed = json.loads((ROOT / "BENCH_PR7.json").read_text())
+        assert set(committed) - {"reference", "stepping"} <= set(payload)
+        for point, fresh in zip(committed["points"], payload["points"]):
+            assert set(point) <= set(fresh)
+            assert set(point["summary"]) <= set(fresh["summary"])
+            assert set(point["events_per_sec"]) == set(
+                fresh["events_per_sec"])
         assert json.loads(out.read_text()) == json.loads(
             json.dumps(payload))
         report = result.render()
@@ -189,12 +209,58 @@ class TestScaleSweep:
                      "--sweep-multipliers", "1,x"]) == 2
         assert "sweep-multipliers" in capsys.readouterr().err
 
-    def test_cli_kernel_flag_reaches_result(self, capsys):
-        assert main(["perfbench", "--scale", "0.01",
-                     "--workloads", "fig8_write", "--kernel", "heap",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kernel"] == "heap"
+
+class TestPairedResult:
+    """Estimators and projections of the one paired-comparison result."""
+
+    RESULT = PairedResult(title="t", labels=("off", "on"),
+                          a=[100.0, 80.0, 90.0], b=[75.0, 72.0, 81.0],
+                          events=7, budget_pct=20.0)
+
+    def test_estimators_on_fixed_rates(self):
+        result = self.RESULT
+        assert result.speedup() == pytest.approx(0.81)
+        assert result.overhead_pct() == pytest.approx(19.0)
+        assert result.pair_overheads_pct() == pytest.approx(
+            [25.0, 10.0, 10.0])
+        assert result.paired_median_pct() == pytest.approx(10.0)
+        assert result.passed()
+        assert not dataclasses.replace(result, budget_pct=18.9).passed()
+        assert dataclasses.replace(result, budget_pct=None).passed()
+        even = dataclasses.replace(result, a=[100.0, 100.0],
+                                   b=[90.0, 70.0])
+        assert even.paired_median_pct() == pytest.approx(20.0)
+
+    def test_projection_without_budget_has_no_verdict(self):
+        result = dataclasses.replace(self.RESULT, budget_pct=None,
+                                     labels=("baseline", "new"))
+        payload = result.to_dict()
+        assert payload["events"] == 7
+        assert set(payload["events_per_sec"]) == {"baseline", "new"}
+        assert {"budget_pct", "passed"}.isdisjoint(payload["summary"])
+        assert payload["summary"]["best_new"] == 81.0
+        assert "PASS" not in result.render()
+
+    @pytest.mark.parametrize("run, committed", [
+        (run_trace_overhead, "BENCH_PR5.json"),
+        (run_physics_overhead, "BENCH_PR10.json"),
+    ])
+    def test_overhead_report_matches_committed_schema(self, run,
+                                                      committed):
+        result = run(scale=0.02, rounds=2, budget_pct=1e9)
+        payload = result.to_dict()
+        reference = json.loads((ROOT / committed).read_text())
+        assert set(reference) <= set(payload)
+        assert set(reference["summary"]) <= set(payload["summary"])
+        assert payload.get("physics") == reference.get("physics")
+        assert payload["rounds"] == len(payload["pair_overheads_pct"]) == 2
+        assert payload["summary"]["passed"] is True
+        json.dumps(payload)
+        report = result.render()
+        assert report.splitlines()[0].startswith(
+            "physics overhead" if "physics" in payload
+            else "trace overhead")
+        assert report.endswith("PASS")
 
 
 class TestCommittedBenchGuards:
