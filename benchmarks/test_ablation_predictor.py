@@ -24,7 +24,7 @@ from conftest import BENCH_CONFIG
 def test_ablation_future_write_predictor(benchmark, save_report):
     config = BENCH_CONFIG
     span = experiment_span(config, utilization=0.5)
-    scenario = StreamScenario.from_streams(
+    scenario = StreamScenario(
         build_workload("Varmail", span, total_ops=14400, seed=1))
 
     def run_both():

@@ -19,7 +19,7 @@ from conftest import BENCH_CONFIG
 def test_related_work_slc_mode(benchmark, save_report):
     span = experiment_span(BENCH_CONFIG, utilization=0.75,
                            ftls=("slcFTL",))
-    scenario = StreamScenario.from_streams(build_workload(
+    scenario = StreamScenario(build_workload(
         "Fileserver", span, total_ops=12000, seed=1))
 
     def run_all():

@@ -44,7 +44,7 @@ def main() -> None:
           f"{profile.intensiveness} intensity)")
 
     print(f"  running {', '.join(FTLS)} in parallel ...")
-    scenario = StreamScenario.from_streams(streams)
+    scenario = StreamScenario(streams)
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=ftl)
              for ftl in FTLS]

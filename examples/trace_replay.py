@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.experiments import ExperimentConfig, build_system
 from repro.metrics.report import render_table
-from repro.sim.host import run_trace
+from repro.sim.host import TraceReplayHost
 from repro.workloads.external import fit_trace, load_msr_trace
 
 
@@ -57,7 +57,9 @@ def main() -> None:
         sim, array, buffer, ftl, controller = build_system(ftl_name,
                                                            config)
         fitted = fit_trace(raw, ftl.logical_pages)
-        stats = run_trace(sim, controller, fitted)
+        TraceReplayHost(sim, controller, fitted).start()
+        sim.run()
+        stats = controller.stats
         rows.append([
             ftl_name,
             stats.completed_requests,

@@ -58,7 +58,7 @@ def main() -> None:
     tracer = Tracer()
     result = run_workload(
         ftl_name="flexFTL",
-        scenario=StreamScenario.from_streams(
+        scenario=StreamScenario(
             [churny_stream(span=500)], name="churn"),
         config=config,
         tracer=tracer,
@@ -115,7 +115,7 @@ def main() -> None:
     fault_tracer = Tracer()
     faulted = run_workload(
         ftl_name="flexFTL",
-        scenario=StreamScenario.from_streams(
+        scenario=StreamScenario(
             [churny_stream(span=500, rounds=2)], name="churn"),
         config=armed,
         tracer=fault_tracer,

@@ -74,7 +74,7 @@ def _run_points(
     sweep: str,
 ) -> List[AblationPoint]:
     """Run (label, ftl, config) triples as one engine batch."""
-    scenario = StreamScenario.from_streams(streams)
+    scenario = StreamScenario(streams)
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=label)
              for label, ftl, config in labelled_configs]

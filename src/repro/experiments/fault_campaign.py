@@ -118,7 +118,7 @@ def run_fault_campaign(
     """Run the ``ftl x program-failure-rate`` grid (plus resume run)."""
     config = campaign_config(config)
     span = experiment_span(config, utilization=utilization, ftls=ftls)
-    scenario = StreamScenario.from_streams(
+    scenario = StreamScenario(
         build_campaign_streams(span, total_ops, seed))
 
     cells = [

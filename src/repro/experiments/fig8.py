@@ -193,7 +193,7 @@ def run_fig8(
     coords = []
     for workload in workloads:
         total = max(200, int(base_ops.get(workload, 16000) * scale))
-        scenario = StreamScenario.from_streams(
+        scenario = StreamScenario(
             build_workload(workload, span, total_ops=total, seed=seed))
         for ftl in ftls:
             cells.append(workload_cell(ftl, scenario=scenario,

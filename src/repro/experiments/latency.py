@@ -44,7 +44,7 @@ def run_read_latency_comparison(
     """Run one workload on several FTLs; returns results by FTL name."""
     config = config or ExperimentConfig()
     span = experiment_span(config, utilization=utilization)
-    scenario = StreamScenario.from_streams(build_workload(
+    scenario = StreamScenario(build_workload(
         workload, span, total_ops=total_ops, seed=seed))
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=ftl)

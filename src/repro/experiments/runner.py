@@ -49,12 +49,8 @@ from repro.scenarios.base import (
     Scenario,
     as_scenario,
 )
-from repro.scenarios.host import (
-    StreamingClosedLoopHost,
-    StreamingTraceReplayHost,
-)
 from repro.sim.controller import StorageController
-from repro.sim.host import ClosedLoopHost
+from repro.sim.host import ClosedLoopHost, TraceReplayHost
 from repro.sim.kernel import HeapSimulator, Simulator
 from repro.sim.powerloss import ScheduledPowerLoss
 from repro.sim.queues import WriteBuffer
@@ -356,18 +352,16 @@ def begin_measured_phase(controller: StorageController, ftl: BaseFtl,
 
 def scenario_host(sim: Simulator, controller: StorageController,
                   scenario: Scenario):
-    """The streaming host matching a scenario's delivery mode.
+    """The host matching a scenario's delivery mode.
 
     The scenario handle is passed through so the host can rebuild its
     iterators from the spec when it rides into a fleet snapshot.
     """
     if scenario.mode == OPEN:
-        return StreamingTraceReplayHost(sim, controller,
-                                        scenario.requests(),
-                                        scenario=scenario)
-    return StreamingClosedLoopHost(sim, controller,
-                                   scenario.op_streams(),
-                                   scenario=scenario)
+        return TraceReplayHost(sim, controller, scenario.requests(),
+                               scenario=scenario)
+    return ClosedLoopHost(sim, controller, scenario.op_streams(),
+                          scenario=scenario)
 
 
 @dataclasses.dataclass

@@ -88,7 +88,7 @@ def run_scaling_study(
                                  total_ops=ops_per_chip * chips,
                                  seed=seed)
         cells.append(workload_cell(
-            ftl, scenario=StreamScenario.from_streams(streams),
+            ftl, scenario=StreamScenario(streams),
             config=config, label=f"{chips} chips"))
         chip_counts.append(chips)
     results = run_cells(cells, options=engine, label="scaling")

@@ -43,7 +43,7 @@ def run_single(
     """
     config = ExperimentConfig(flex_use_predictor=predictor)
     span = experiment_span(config, utilization=utilization)
-    scenario = StreamScenario.from_streams(build_workload(
+    scenario = StreamScenario(build_workload(
         workload, span, total_ops=total_ops, seed=seed))
     (result,) = run_cells(
         [workload_cell(ftl, scenario=scenario, config=config,

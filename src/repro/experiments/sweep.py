@@ -88,7 +88,7 @@ def run_sweep(
         config = config_builder(params)
         span = experiment_span(config, utilization=utilization)
         if span not in scenarios:
-            scenarios[span] = StreamScenario.from_streams(build_workload(
+            scenarios[span] = StreamScenario(build_workload(
                 workload, span, total_ops=total_ops, seed=seed))
         label = " ".join(f"{k}={v}" for k, v in params.items())
         cells.append(workload_cell(ftl, scenario=scenarios[span],

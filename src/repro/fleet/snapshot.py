@@ -50,8 +50,11 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: refuses files written under a different format version.  Format 2:
 #: the controller no longer holds a batched NAND-program entry point
 #: (format-1 pickles reference one and cannot load), and the header no
-#: longer records a chip-dispatch mode.
-SNAPSHOT_FORMAT_VERSION = 2
+#: longer records a chip-dispatch mode.  Format 3: one host class per
+#: delivery mode and one op record, all in :mod:`repro.sim.host`;
+#: format-2 pickles reference the deleted scenario-package hosts and
+#: op record.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _LEN = struct.Struct(">I")
 

@@ -89,8 +89,7 @@ def _record(args: argparse.Namespace) -> TraceRecordResult:
     from repro.scenarios import StreamScenario
 
     streams = WORKLOADS[args.workload](span, args.scale, args.seed)
-    scenario = StreamScenario.from_streams(streams,
-                                           name=args.workload)
+    scenario = StreamScenario(streams, name=args.workload)
     tracer = Tracer(capacity=args.capacity)
     run_workload(ftl_name=args.ftl, scenario=scenario, config=config,
                  warmup_span=span, tracer=tracer)

@@ -238,7 +238,7 @@ def _workload_keywords(workload: str, span: int, scale: float, seed: int,
     if workload in QOS_WORKLOADS:
         return {"tenants": QOS_WORKLOADS[workload](span, scale, seed),
                 "arbiter": QOS_ARBITER}
-    return {"scenario": StreamScenario.from_streams(
+    return {"scenario": StreamScenario(
         WORKLOADS[workload](span, scale, seed))}
 
 

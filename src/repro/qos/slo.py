@@ -12,7 +12,8 @@ It can ride on any host model: attach it to a
 and every completed request carrying a ``tenant`` tag is recorded —
 the :class:`~repro.qos.host.MultiTenantHost` does this for you, but a
 plain :class:`~repro.sim.host.TraceReplayHost` replaying a
-tenant-tagged trace works just as well.
+tenant-tagged trace, or a :class:`~repro.sim.host.ClosedLoopHost`
+fed tenant-tagged ops, works just as well.
 """
 
 from __future__ import annotations

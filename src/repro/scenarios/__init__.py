@@ -17,7 +17,7 @@ from repro.scenarios.base import (
     CLOSED,
     OPEN,
     Scenario,
-    ScenarioOp,
+    StreamOp,
     StreamScenario,
     TenantBinding,
     as_scenario,
@@ -35,10 +35,6 @@ from repro.scenarios.csvio import (
     write_scenario_csv,
 )
 from repro.scenarios.generator import Phase, WorkloadScenario
-from repro.scenarios.host import (
-    StreamingClosedLoopHost,
-    StreamingTraceReplayHost,
-)
 from repro.scenarios.presets import (
     PRESETS,
     TABLE1_PRESETS,
@@ -57,10 +53,8 @@ __all__ = [
     "PresetInfo",
     "Scenario",
     "ScenarioCsvError",
-    "ScenarioOp",
+    "StreamOp",
     "StreamScenario",
-    "StreamingClosedLoopHost",
-    "StreamingTraceReplayHost",
     "TenantBinding",
     "TraceScenario",
     "WorkloadScenario",

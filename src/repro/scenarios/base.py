@@ -9,14 +9,18 @@ tagged host requests.  The measured run,
 (:class:`StreamScenario`) drive a simulated device through exactly the
 same code path.
 
-Two delivery modes exist:
+Two delivery modes exist, one host each (:mod:`repro.sim.host`):
 
 * ``closed`` — per-stream synchronous workers: each worker issues its
   next op only after the previous one completed (Sysbench/Filebench
-  shape; see :class:`~repro.scenarios.host.StreamingClosedLoopHost`).
+  shape; see :class:`~repro.sim.host.ClosedLoopHost`).
 * ``open`` — requests arrive at fixed trace timestamps regardless of
   device state (block-trace replay; see
-  :class:`~repro.scenarios.host.StreamingTraceReplayHost`).
+  :class:`~repro.sim.host.TraceReplayHost`).
+
+Every op a scenario yields is a :class:`~repro.sim.host.StreamOp`
+carrying its scenario tags (stream, tenant, phase, and the open-loop
+arrival time).
 
 Every scenario serializes to a JSON-safe **spec** (:meth:`Scenario.
 spec`), invertible via :func:`scenario_from_spec`.  The experiment
@@ -63,50 +67,6 @@ def scenario_seed(base_seed: int, *coords: object) -> int:
                       separators=(",", ":"))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ScenarioOp:
-    """One tagged host operation of a scenario.
-
-    The superset of :class:`~repro.sim.host.StreamOp` (closed-loop
-    fields) and a trace record (the optional open-loop ``time``), plus
-    the scenario tags (stream, tenant, phase) that QoS accounting, CSV
-    export and the trace bus consume.
-
-    Attributes:
-        kind: read or write.
-        lpn: first logical page.
-        npages: length in pages.
-        think_after: closed-loop think time after completion (seconds).
-        time: open-loop arrival timestamp, or None for closed-loop ops.
-        stream: issuing worker-stream index.
-        tenant: issuing tenant name, or None for untagged traffic.
-        phase: generator phase the op belongs to ("" when unphased).
-    """
-
-    kind: RequestKind
-    lpn: int
-    npages: int = 1
-    think_after: float = 0.0
-    time: Optional[float] = None
-    stream: int = 0
-    tenant: Optional[str] = None
-    phase: str = ""
-
-    def to_stream_op(self) -> StreamOp:
-        """The closed-loop projection (drops the scenario tags)."""
-        return StreamOp(self.kind, self.lpn, self.npages,
-                        self.think_after)
-
-    def to_request(self) -> Request:
-        """The open-loop projection (requires an arrival ``time``)."""
-        if self.time is None:
-            raise ValueError(
-                "op has no arrival time; only open-mode scenarios "
-                "replay as requests")
-        return Request(time=self.time, kind=self.kind, lpn=self.lpn,
-                       npages=self.npages, tenant=self.tenant)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +145,7 @@ class Scenario:
 
     # -- lazy views ----------------------------------------------------
 
-    def ops(self) -> Iterator[ScenarioOp]:
+    def ops(self) -> Iterator[StreamOp]:
         """The canonical tagged op sequence (lazy).
 
         For closed-mode scenarios this is the per-stream sequences
@@ -195,7 +155,7 @@ class Scenario:
         """
         raise NotImplementedError
 
-    def op_streams(self) -> List[Iterator[ScenarioOp]]:
+    def op_streams(self) -> List[Iterator[StreamOp]]:
         """One lazy op iterator per closed-loop worker stream."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support closed-loop "
@@ -233,7 +193,7 @@ class Scenario:
                     f"a multi-tenant run needs every op to carry a "
                     f"tenant")
             streams = grouped.setdefault(op.tenant, {})
-            streams.setdefault(op.stream, []).append(op.to_stream_op())
+            streams.setdefault(op.stream, []).append(op)
         return {tenant: [streams[index] for index in sorted(streams)]
                 for tenant, streams in grouped.items()}
 
@@ -282,13 +242,16 @@ class StreamScenario(Scenario):
     This keeps every pre-scenario workload generator
     (:mod:`repro.workloads`) usable unchanged::
 
-        scenario = StreamScenario.from_streams(
+        scenario = StreamScenario(
             build_workload("Varmail", span, total_ops=4000))
         run_workload(ftl_name="flexFTL", scenario=scenario)
 
     The wrapped streams are already materialized, so this adapter is
     *not* bounded-memory — it exists for compatibility and for small
-    hand-built workloads.
+    hand-built workloads.  Its ops are re-tagged with their stream
+    index and the adapter's ``tenant``: the spec records only kind,
+    lpn, npages and think time, so a wrapped op's own tags do not
+    carry over.
     """
 
     mode = CLOSED
@@ -299,13 +262,6 @@ class StreamScenario(Scenario):
         self.name = name
         self.tenant = tenant
         self._streams: List[List[StreamOp]] = [list(s) for s in streams]
-
-    @classmethod
-    def from_streams(cls, streams: Sequence[Sequence[StreamOp]],
-                     name: str = "streams",
-                     tenant: Optional[str] = None) -> "StreamScenario":
-        """Explicit constructor mirroring the runner adapter."""
-        return cls(streams, name=name, tenant=tenant)
 
     @property
     def footprint(self) -> int:
@@ -321,17 +277,17 @@ class StreamScenario(Scenario):
     def total_ops(self) -> int:
         return sum(len(s) for s in self._streams)
 
-    def _tag(self, op: StreamOp, stream: int) -> ScenarioOp:
-        return ScenarioOp(kind=op.kind, lpn=op.lpn, npages=op.npages,
-                          think_after=op.think_after, stream=stream,
-                          tenant=self.tenant)
+    def _tag(self, op: StreamOp, stream: int) -> StreamOp:
+        return StreamOp(kind=op.kind, lpn=op.lpn, npages=op.npages,
+                        think_after=op.think_after, stream=stream,
+                        tenant=self.tenant)
 
-    def ops(self) -> Iterator[ScenarioOp]:
+    def ops(self) -> Iterator[StreamOp]:
         return _round_robin(
             [(self._tag(op, index) for op in stream)
              for index, stream in enumerate(self._streams)])
 
-    def op_streams(self) -> List[Iterator[ScenarioOp]]:
+    def op_streams(self) -> List[Iterator[StreamOp]]:
         return [(self._tag(op, index) for op in stream)
                 for index, stream in enumerate(self._streams)]
 
@@ -358,8 +314,8 @@ class StreamScenario(Scenario):
                    tenant=spec.get("tenant"))
 
 
-def _round_robin(iterators: Sequence[Iterator[ScenarioOp]]
-                 ) -> Iterator[ScenarioOp]:
+def _round_robin(iterators: Sequence[Iterator[StreamOp]]
+                 ) -> Iterator[StreamOp]:
     """Interleave iterators one op at a time, dropping exhausted ones."""
     alive = list(iterators)
     while alive:

@@ -43,7 +43,7 @@ from repro.scenarios.base import (
     CLOSED,
     OPEN,
     Scenario,
-    ScenarioOp,
+    StreamOp,
     TenantBinding,
     register_spec_type,
 )
@@ -133,7 +133,7 @@ def read_scenario_meta(path: Union[str, Path]) -> Dict[str, Any]:
     return meta
 
 
-def _parse_row(path: Path, lineno: int, row: List[str]) -> ScenarioOp:
+def _parse_row(path: Path, lineno: int, row: List[str]) -> StreamOp:
     if len(row) != len(CSV_HEADER):
         raise ScenarioCsvError(
             f"{path}:{lineno}: expected {len(CSV_HEADER)} fields "
@@ -172,14 +172,14 @@ def _parse_row(path: Path, lineno: int, row: List[str]) -> ScenarioOp:
             f"{path}:{lineno}: lpn must be >= 0 and npages > 0, got "
             f"lpn={lpn} npages={npages}")
     tenant = payload.get("tenant")
-    return ScenarioOp(kind=_OP_KINDS[op_code], lpn=lpn, npages=npages,
-                      think_after=think, time=time, stream=stream,
-                      tenant=None if tenant is None else str(tenant),
-                      phase=phase)
+    return StreamOp(kind=_OP_KINDS[op_code], lpn=lpn, npages=npages,
+                    think_after=think, time=time, stream=stream,
+                    tenant=None if tenant is None else str(tenant),
+                    phase=phase)
 
 
 def iter_scenario_csv(path: Union[str, Path]
-                      ) -> Iterator[ScenarioOp]:
+                      ) -> Iterator[StreamOp]:
     """Stream the ops of a scenario CSV, one row at a time.
 
     Skips the ``#meta`` and header rows; raises
@@ -271,14 +271,14 @@ class TraceScenario(Scenario):
     def tenant_bindings(self) -> Tuple[TenantBinding, ...]:
         return self._tenants
 
-    def ops(self) -> Iterator[ScenarioOp]:
+    def ops(self) -> Iterator[StreamOp]:
         return iter_scenario_csv(self.path)
 
-    def _stream_ops(self, index: int) -> Iterator[ScenarioOp]:
+    def _stream_ops(self, index: int) -> Iterator[StreamOp]:
         return (op for op in iter_scenario_csv(self.path)
                 if op.stream == index)
 
-    def op_streams(self) -> List[Iterator[ScenarioOp]]:
+    def op_streams(self) -> List[Iterator[StreamOp]]:
         if self.mode != CLOSED:
             raise ValueError(
                 f"{self.path}: an open-mode trace replays via "

@@ -31,7 +31,7 @@ import numpy as np
 from repro.scenarios.base import (
     CLOSED,
     Scenario,
-    ScenarioOp,
+    StreamOp,
     TenantBinding,
     _round_robin,
     register_spec_type,
@@ -269,7 +269,7 @@ class WorkloadScenario(Scenario):
         weights = weights / weights.sum()
         return int(rng.choice(np.asarray(phase.npages), p=weights))
 
-    def _stream_ops(self, index: int) -> Iterator[ScenarioOp]:
+    def _stream_ops(self, index: int) -> Iterator[StreamOp]:
         """Lazily generate one stream's full op sequence.
 
         Holds a one-op lookahead so an ``idle`` phase can stretch the
@@ -281,7 +281,7 @@ class WorkloadScenario(Scenario):
         hot_span = int(self._footprint * self.hot_fraction)
         recent: deque = deque(maxlen=RECENT_WINDOW)
         last_end: Optional[int] = None
-        pending: Optional[ScenarioOp] = None
+        pending: Optional[StreamOp] = None
         cold_samplers: Dict[str, ZipfSampler] = {}
 
         for phase in self.phases:
@@ -298,9 +298,9 @@ class WorkloadScenario(Scenario):
                 lpn = lo
                 while lpn < hi:
                     npages = min(size, hi - lpn)
-                    op = ScenarioOp(RequestKind.WRITE, lpn, npages,
-                                    phase.think, stream=index,
-                                    tenant=tenant, phase=phase.name)
+                    op = StreamOp(RequestKind.WRITE, lpn, npages,
+                                  phase.think, stream=index,
+                                  tenant=tenant, phase=phase.name)
                     if pending is not None:
                         yield pending
                     pending = op
@@ -324,9 +324,9 @@ class WorkloadScenario(Scenario):
                         position % phase.burst_len == phase.burst_len - 1
                         or position == count - 1)
                     think = phase.burst_idle if last_of_burst else 0.0
-                op = ScenarioOp(kind, lpn, npages, think,
-                                stream=index, tenant=tenant,
-                                phase=phase.name)
+                op = StreamOp(kind, lpn, npages, think,
+                              stream=index, tenant=tenant,
+                              phase=phase.name)
                 if kind is RequestKind.WRITE:
                     recent.append(lpn)
                 last_end = lpn + npages
@@ -367,10 +367,10 @@ class WorkloadScenario(Scenario):
 
     # -- lazy views ----------------------------------------------------
 
-    def op_streams(self) -> List[Iterator[ScenarioOp]]:
+    def op_streams(self) -> List[Iterator[StreamOp]]:
         return [self._stream_ops(i) for i in range(self._streams)]
 
-    def ops(self) -> Iterator[ScenarioOp]:
+    def ops(self) -> Iterator[StreamOp]:
         return _round_robin(self.op_streams())
 
     # -- serialization -------------------------------------------------

@@ -3,9 +3,9 @@
 The layer that turns the state-level NAND model into a timed storage
 device: an event-queue kernel (:mod:`repro.sim.kernel`), the flash
 operation vocabulary FTLs emit (:mod:`repro.sim.ops`), the host write
-buffer and request bookkeeping (:mod:`repro.sim.queues`), a
-trace-replay host (:mod:`repro.sim.host`), the storage controller that
-dispatches operations to chips over shared channels
+buffer and request bookkeeping (:mod:`repro.sim.queues`), the open-
+and closed-loop hosts (:mod:`repro.sim.host`), the storage controller
+that dispatches operations to chips over shared channels
 (:mod:`repro.sim.controller`), and metric collection
 (:mod:`repro.sim.stats`).
 """
@@ -25,8 +25,6 @@ from repro.sim.host import (
     ClosedLoopHost,
     StreamOp,
     TraceReplayHost,
-    run_closed_loop,
-    run_trace,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "TraceReplayHost",
     "ClosedLoopHost",
     "StreamOp",
-    "run_trace",
-    "run_closed_loop",
     "ScheduledPowerLoss",
     "PowerLossReport",
     "verify_flexftl_protection",

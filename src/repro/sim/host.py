@@ -1,6 +1,6 @@
 """Hosts: feed workloads into the controller.
 
-Two host models are provided:
+One host per delivery mode:
 
 * :class:`TraceReplayHost` — open-loop: requests arrive at fixed trace
   timestamps (block-trace replay).
@@ -10,61 +10,43 @@ Two host models are provided:
   workloads behave, and it is what lets IOPS reflect device latency:
   an intensive workload (think ~ 0) saturates the device, a moderate
   one leaves the idle gaps background GC needs.
+
+Both hosts pull their input one op at a time: they call ``iter()`` on
+what they are given, so a list works as well as a lazy scenario
+iterator, and hold a single op of lookahead.  A scenario (or an
+on-disk trace) of any length therefore runs in bounded memory.
+
+When the controller has a tracer installed, the closed-loop host emits
+a ``scenario.phase`` trace event the first time an op of a new
+generator phase is issued — the bridge between the workload's declared
+structure (fill/steady/burst/idle) and the device-side event stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+)
 
+from repro.observability.events import SCENARIO_PHASE
 from repro.sim.controller import StorageController
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Request, RequestKind
-from repro.sim.stats import SimStats
+
+if TYPE_CHECKING:
+    from repro.scenarios.base import Scenario
 
 
-class TraceReplayHost:
-    """Replays a time-ordered request trace (open-loop arrivals).
-
-    Arrivals fire at their trace timestamps regardless of device state;
-    backpressure shows up as write-buffer admission queueing inside the
-    controller, exactly how a host-side block layer experiences a slow
-    device.
-    """
-
-    def __init__(self, sim: Simulator, controller: StorageController,
-                 trace: Sequence[Request]) -> None:
-        self.sim = sim
-        self.controller = controller
-        self.trace = list(trace)
-        for earlier, later in zip(self.trace, self.trace[1:]):
-            if later.time < earlier.time:
-                raise ValueError("trace must be sorted by arrival time")
-        self._index = 0
-
-    def start(self) -> None:
-        """Schedule the first arrival (no-op for an empty trace)."""
-        if self.trace:
-            self.sim.schedule_at(max(self.sim.now, self.trace[0].time),
-                                 self._arrive)
-
-    def _arrive(self) -> None:
-        request = self.trace[self._index]
-        self._index += 1
-        if self._index < len(self.trace):
-            next_time = max(self.sim.now, self.trace[self._index].time)
-            self.sim.schedule_at(next_time, self._arrive)
-        self.controller.submit(request)
-
-    @property
-    def remaining(self) -> int:
-        """Requests not yet injected."""
-        return len(self.trace) - self._index
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class StreamOp:
-    """One operation of a closed-loop worker stream.
+    """One host operation: a closed-loop stream op or a trace record.
 
     Attributes:
         kind: read or write.
@@ -73,12 +55,116 @@ class StreamOp:
         think_after: host think time between this op's completion and
             the stream's next issue (0 inside a burst; large between
             bursts or for low-intensity workloads).
+        time: open-loop arrival timestamp, or None for closed-loop ops.
+        stream: issuing worker-stream index.
+        tenant: issuing tenant name, or None for untagged traffic.
+        phase: generator phase the op belongs to ("" when unphased).
     """
 
     kind: RequestKind
     lpn: int
     npages: int = 1
     think_after: float = 0.0
+    time: Optional[float] = None
+    stream: int = 0
+    tenant: Optional[str] = None
+    phase: str = ""
+
+    def to_request(self) -> Request:
+        """The open-loop projection (requires an arrival ``time``)."""
+        if self.time is None:
+            raise ValueError(
+                "op has no arrival time; only open-mode scenarios "
+                "replay as requests")
+        return Request(time=self.time, kind=self.kind, lpn=self.lpn,
+                       npages=self.npages, tenant=self.tenant)
+
+
+class TraceReplayHost:
+    """Replays a time-ordered request trace (open-loop arrivals).
+
+    Arrivals fire at their trace timestamps regardless of device state;
+    backpressure shows up as write-buffer admission queueing inside the
+    controller, exactly how a host-side block layer experiences a slow
+    device.  Only one look-ahead request is held, so a billion-op
+    on-disk trace replays in constant memory.  Raises on an
+    out-of-order arrival, naming the offending position.
+
+    ``scenario`` (optional) is the scenario the requests came from; it
+    makes the host snapshot-capable the same way as
+    :class:`ClosedLoopHost`.
+    """
+
+    def __init__(self, sim: Simulator, controller: StorageController,
+                 requests: Iterable[Request],
+                 scenario: Optional["Scenario"] = None) -> None:
+        self.sim = sim
+        self.controller = controller
+        self._iter: Iterator[Request] = iter(requests)
+        self._next: Optional[Request] = next(self._iter, None)
+        self._pulled = 1
+        self.issued = 0
+        self.scenario_spec: Optional[Dict[str, Any]] = \
+            scenario.spec() if scenario is not None else None
+
+    def start(self) -> None:
+        """Schedule the first arrival (no-op for an empty trace)."""
+        if self._next is not None:
+            self.sim.schedule_at(max(self.sim.now, self._next.time),
+                                 self._arrive)
+
+    def _arrive(self) -> None:
+        request = self._next
+        assert request is not None
+        self._next = next(self._iter, None)
+        self._pulled += 1
+        if self._next is not None:
+            if self._next.time < request.time:
+                raise ValueError(
+                    f"trace must be sorted by arrival time; request "
+                    f"{self.issued + 1} arrives at {self._next.time!r} "
+                    f"after {request.time!r}")
+            self.sim.schedule_at(max(self.sim.now, self._next.time),
+                                 self._arrive)
+        self.controller.submit(request)
+        self.issued += 1
+
+    # -- snapshot support ----------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        if self.scenario_spec is None:
+            raise TypeError(
+                "TraceReplayHost holds a live request iterator and no "
+                "scenario spec to rebuild it from; construct it with "
+                "scenario= to make it snapshot-capable")
+        state = self.__dict__.copy()
+        del state["_iter"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        from repro.scenarios.base import scenario_from_spec
+
+        self.__dict__.update(state)
+        scenario = scenario_from_spec(self.scenario_spec)
+        iterator = iter(scenario.requests())
+        last: Optional[Request] = None
+        for _ in range(self._pulled):
+            last = next(iterator, None)
+        if self._pulled and _request_key(last) != _request_key(self._next):
+            raise ValueError(
+                f"scenario {scenario.name!r} did not regenerate "
+                f"deterministically: request {self._pulled} was "
+                f"{self._next!r} at snapshot time but {last!r} on "
+                f"restore")
+        self._iter = iterator
+
+
+def _request_key(request: Optional[Request]):
+    """Identity fields of a trace request (callback excluded)."""
+    if request is None:
+        return None
+    return (request.time, request.kind, request.lpn, request.npages,
+            request.tenant)
 
 
 class StreamCompletion:
@@ -110,41 +196,72 @@ class StreamCompletion:
 class ClosedLoopHost:
     """Synchronous worker streams (Sysbench/Filebench-style load).
 
-    ``tenant`` (optional) tags every issued request with a tenant id so
-    per-tenant accounting (:mod:`repro.qos.slo`) can attribute it; it
-    changes nothing about how requests are scheduled.
+    Holds exactly one pending op per stream (the lookahead needed to
+    know whether a stream is exhausted); everything else stays inside
+    the stream iterators.
+
+    ``tenant`` is the default tag for ops that carry none of their
+    own; an op's ``tenant`` field wins when set.  Tags feed per-tenant
+    accounting (:mod:`repro.qos.slo`); they change nothing about how
+    requests are scheduled.
+
+    ``scenario`` (optional) is the scenario the streams came from.
+    When given, the host is *snapshot-capable*: generator iterators
+    cannot pickle, so ``__getstate__`` drops them and records the
+    scenario spec plus per-stream pull counts, and ``__setstate__``
+    rebuilds the iterators from the spec and fast-forwards each one —
+    deterministic because scenario generation is seeded.  The restored
+    lookahead op is checked against the pickled one, so a
+    non-deterministic scenario fails loudly instead of silently
+    diverging.
     """
 
     def __init__(self, sim: Simulator, controller: StorageController,
-                 streams: Sequence[Sequence[StreamOp]],
-                 tenant: Optional[str] = None) -> None:
+                 streams: Iterable[Iterable[StreamOp]],
+                 tenant: Optional[str] = None,
+                 scenario: Optional["Scenario"] = None) -> None:
         self.sim = sim
         self.controller = controller
-        self.streams: List[List[StreamOp]] = [list(s) for s in streams]
         self.tenant = tenant
-        self._cursor = [0] * len(self.streams)
+        self._iters: List[Iterator[StreamOp]] = \
+            [iter(stream) for stream in streams]
+        self._current: List[Optional[StreamOp]] = \
+            [None] * len(self._iters)
+        self._pulled = [0] * len(self._iters)
+        self._phase = ""
+        self.issued = 0
+        self.scenario_spec: Optional[Dict[str, Any]] = \
+            scenario.spec() if scenario is not None else None
 
     def start(self) -> None:
-        """Kick off every non-empty stream at the current time."""
-        for index, stream in enumerate(self.streams):
-            if stream:
+        """Pull each stream's first op and kick off the non-empty ones."""
+        for index, iterator in enumerate(self._iters):
+            op = next(iterator, None)
+            self._pulled[index] += 1
+            self._current[index] = op
+            if op is not None:
                 self.sim.schedule(0.0, self._issue, index)
 
-    @property
-    def remaining(self) -> int:
-        """Operations not yet issued across all streams."""
-        return sum(len(s) - c for s, c in zip(self.streams, self._cursor))
-
     def _issue(self, index: int) -> None:
-        op = self.streams[index][self._cursor[index]]
+        op = self._current[index]
+        assert op is not None
+        trace = getattr(self.controller, "_trace", None)
+        if trace is not None and op.phase and op.phase != self._phase:
+            trace.event(SCENARIO_PHASE, name=op.phase,
+                        prev=self._phase, stream=index)
+            self._phase = op.phase
         request = Request(self.sim.now, op.kind, op.lpn, op.npages,
-                          tenant=self.tenant)
+                          tenant=op.tenant if op.tenant is not None
+                          else self.tenant)
         request.on_complete = StreamCompletion(self, index, op.think_after)
         self.controller.submit(request)
+        self.issued += 1
 
     def _advance(self, index: int, think: float) -> None:
-        self._cursor[index] += 1
-        if self._cursor[index] < len(self.streams[index]):
+        nxt = next(self._iters[index], None)
+        self._pulled[index] += 1
+        self._current[index] = nxt
+        if nxt is not None:
             self.sim.schedule(think, self._issue, index)
 
     def resume(self) -> int:
@@ -152,38 +269,50 @@ class ClosedLoopHost:
 
         A power-off halts the event queue, so streams whose in-flight
         request never completed are stalled on an ``on_complete`` that
-        will never fire.  This re-schedules each unfinished stream at
-        its current cursor — the host retries the interrupted op, as a
+        will never fire.  This re-schedules each stream that still
+        holds a pending op — the host retries the interrupted op, as a
         real application would after a crash.  Returns the number of
         streams restarted.
         """
         restarted = 0
-        for index, stream in enumerate(self.streams):
-            if self._cursor[index] < len(stream):
+        for index, op in enumerate(self._current):
+            if op is not None:
                 self.sim.schedule(0.0, self._issue, index)
                 restarted += 1
         return restarted
 
+    # -- snapshot support ----------------------------------------------
 
-def run_closed_loop(sim: Simulator, controller: StorageController,
-                    streams: Sequence[Sequence[StreamOp]],
-                    max_events: Optional[int] = None) -> SimStats:
-    """Run a closed-loop workload to completion; returns statistics."""
-    host = ClosedLoopHost(sim, controller, streams)
-    host.start()
-    sim.run(max_events=max_events)
-    return controller.stats
+    def __getstate__(self) -> Dict[str, Any]:
+        if self.scenario_spec is None:
+            raise TypeError(
+                "ClosedLoopHost holds live stream iterators and no "
+                "scenario spec to rebuild them from; construct it with "
+                "scenario= to make it snapshot-capable")
+        state = self.__dict__.copy()
+        del state["_iters"]
+        return state
 
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        from repro.scenarios.base import scenario_from_spec
 
-def run_trace(sim: Simulator, controller: StorageController,
-              trace: Sequence[Request],
-              max_events: Optional[int] = None) -> SimStats:
-    """Replay ``trace`` to completion and return the run's statistics.
-
-    The simulation runs until the event queue drains — all requests
-    completed, the write buffer flushed, and background GC settled.
-    """
-    host = TraceReplayHost(sim, controller, trace)
-    host.start()
-    sim.run(max_events=max_events)
-    return controller.stats
+        self.__dict__.update(state)
+        scenario = scenario_from_spec(self.scenario_spec)
+        streams = scenario.op_streams()
+        if len(streams) != len(self._current):
+            raise ValueError(
+                f"scenario {scenario.name!r} rebuilt with "
+                f"{len(streams)} streams; snapshot recorded "
+                f"{len(self._current)}")
+        self._iters = []
+        for index, iterator in enumerate(streams):
+            last: Optional[StreamOp] = None
+            for _ in range(self._pulled[index]):
+                last = next(iterator, None)
+            if self._pulled[index] and last != self._current[index]:
+                raise ValueError(
+                    f"scenario {scenario.name!r} stream {index} did "
+                    f"not regenerate deterministically: op "
+                    f"{self._pulled[index]} was {self._current[index]!r}"
+                    f" at snapshot time but {last!r} on restore")
+            self._iters.append(iterator)

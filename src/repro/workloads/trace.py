@@ -74,7 +74,7 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Request]:
     Yields one :class:`~repro.sim.queues.Request` per data line while
     holding only the current line in memory, so arbitrarily large
     traces replay in bounded space (feed the iterator straight to a
-    :class:`~repro.scenarios.host.StreamingTraceReplayHost`).
+    :class:`~repro.sim.host.TraceReplayHost`).
 
     Accepts both the four-column format and the five-column
     multi-tenant one; the two may even be mixed line-by-line, in which

@@ -90,10 +90,10 @@ class TestFlexFtlPredictorIntegration:
         streams = build_workload("Varmail", span, total_ops=4000,
                                  seed=2)
         base = run_workload(ftl_name="flexFTL",
-                            scenario=StreamScenario.from_streams(streams),
+                            scenario=StreamScenario(streams),
                             config=self.CONFIG)
         boosted = run_workload(
-            ftl_name="flexFTL", scenario=StreamScenario.from_streams(streams),
+            ftl_name="flexFTL", scenario=StreamScenario(streams),
             config=dataclasses.replace(self.CONFIG,
                                        flex_use_predictor=True))
         # Just-in-time collection leaves the quota healthier.
@@ -106,9 +106,9 @@ class TestFlexFtlPredictorIntegration:
         streams = build_workload("Varmail", span, total_ops=2000,
                                  seed=2)
         a = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario.from_streams(streams),
+                         scenario=StreamScenario(streams),
                          config=self.CONFIG)
         b = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario.from_streams(streams),
+                         scenario=StreamScenario(streams),
                          config=self.CONFIG)
         assert a.counters == b.counters  # deterministic, no predictor

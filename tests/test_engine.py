@@ -104,7 +104,7 @@ class TestRoundTrips:
     def test_run_result_round_trip(self):
         streams = _small_streams()
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario.from_streams(streams),
+                              scenario=StreamScenario(streams),
                               config=TEST_CONFIG)
         clone = RunResult.from_dict(result.to_dict())
         assert clone == result
@@ -112,7 +112,7 @@ class TestRoundTrips:
     def test_run_result_dict_is_json_stable(self):
         streams = _small_streams()
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario.from_streams(streams),
+                              scenario=StreamScenario(streams),
                               config=TEST_CONFIG)
         payload = json.dumps(result.to_dict(), sort_keys=True)
         clone = RunResult.from_dict(json.loads(payload))
@@ -142,7 +142,7 @@ class TestEngine:
         for workload in ("OLTP", "Varmail"):
             streams = _small_streams(workload)
             cells.append(workload_cell(
-                "pageFTL", scenario=StreamScenario.from_streams(streams),
+                "pageFTL", scenario=StreamScenario(streams),
                 config=TEST_CONFIG, label=workload))
         return cells
 
@@ -168,11 +168,11 @@ class TestEngine:
     def test_inline_run_equals_run_workload_round_trip(self):
         streams = _small_streams()
         cell = workload_cell(
-            "pageFTL", scenario=StreamScenario.from_streams(streams),
+            "pageFTL", scenario=StreamScenario(streams),
             config=TEST_CONFIG)
         (engine_result,) = run_cells([cell])
         direct = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario.from_streams(streams),
+                              scenario=StreamScenario(streams),
                               config=TEST_CONFIG)
         assert engine_result == direct
 
@@ -182,7 +182,7 @@ class TestResultCache:
         cache = ResultCache(root=tmp_path)
         streams = _small_streams()
         cell = workload_cell(
-            "pageFTL", scenario=StreamScenario.from_streams(streams),
+            "pageFTL", scenario=StreamScenario(streams),
             config=TEST_CONFIG)
 
         (cold,) = run_cells([cell], options=EngineOptions(cache=cache))

@@ -62,7 +62,7 @@ class TestRunner:
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         streams = build_workload("OLTP", span, total_ops=300, seed=1)
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario.from_streams(streams),
+                              scenario=StreamScenario(streams),
                               config=TEST_CONFIG)
         # Warmup wrote the whole span but is excluded from counters.
         assert result.stats.completed_requests == \
@@ -73,10 +73,10 @@ class TestRunner:
         span = experiment_span(TEST_CONFIG, utilization=0.5)
         streams = build_workload("Varmail", span, total_ops=300, seed=3)
         a = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario.from_streams(streams),
+                         scenario=StreamScenario(streams),
                          config=TEST_CONFIG)
         b = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario.from_streams(streams),
+                         scenario=StreamScenario(streams),
                          config=TEST_CONFIG)
         assert a.iops == pytest.approx(b.iops)
         assert a.erases == b.erases

@@ -40,7 +40,7 @@ TEST_RATE = 0.01
 def _scenario(seed=1):
     span = experiment_span(TEST_CONFIG, utilization=0.6,
                           ftls=("pageFTL", "flexFTL"))
-    return StreamScenario.from_streams(
+    return StreamScenario(
         build_campaign_streams(span, TEST_OPS, seed))
 
 

@@ -27,6 +27,7 @@ from repro.fleet.snapshot import (
 from repro.nand.geometry import NandGeometry
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.presets import make_preset
+from repro.sim.host import ClosedLoopHost, TraceReplayHost
 from repro.sim.powerloss import ScheduledPowerLoss
 
 GEOMETRY = NandGeometry(channels=2, chips_per_channel=1,
@@ -192,20 +193,24 @@ class TestHeaderValidation:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot_header(path)
 
-    def test_format_1_refused_before_unpickling(self, tmp_path):
-        """Format-1 payloads reference controller internals that no
-        longer exist; the header check refuses them with the typed
-        format error, before the unpickler runs."""
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_old_format_refused_before_unpickling(self, tmp_path,
+                                                  old_format):
+        """Older payloads reference classes that no longer exist
+        (format 1: controller internals; format 2: the separate
+        streaming hosts and their op record); the header check refuses
+        them with the typed format error, before the unpickler runs."""
         run = DeviceRun.build(spec_for())
         run.advance(200)
         path = tmp_path / "dev.snap"
         run.save(path)
-        rewrite_header(path, format_version=1, stepping="event")
+        rewrite_header(path, format_version=old_format, stepping="event")
         with pytest.raises(SnapshotFormatError,
-                           match="uses snapshot format 1; this build "
-                                 "reads format 2"):
+                           match=f"uses snapshot format {old_format}; "
+                                 f"this build reads format 3"):
             DeviceRun.load(path)
-        with pytest.raises(SnapshotFormatError, match="format 1"):
+        with pytest.raises(SnapshotFormatError,
+                           match=f"format {old_format}"):
             read_snapshot_header(path)
 
     def test_header_needs_only_kernel(self, tmp_path):
@@ -307,21 +312,55 @@ class TestSnapshotBetweenPowerCuts:
 
 
 class TestHostPicklability:
-    def test_streaming_host_without_scenario_refuses(self):
-        import pickle
-
+    def _system(self):
         from repro.experiments.runner import build_system
-        from repro.scenarios.host import StreamingClosedLoopHost
 
         sim, _a, _b, _f, controller = build_system("pageFTL",
                                                    config_for())
         scenario = make_preset("oltp", footprint=64, total_ops=50,
                                seed=1)
-        host = StreamingClosedLoopHost(sim, controller,
-                                       scenario.op_streams())
+        return sim, controller, scenario
+
+    def test_streaming_host_without_scenario_refuses(self):
+        import pickle
+
+        sim, controller, scenario = self._system()
+        host = ClosedLoopHost(sim, controller, scenario.op_streams())
         host.start()
         with pytest.raises(TypeError, match="scenario"):
             pickle.dumps(host)
+
+    def test_list_fed_host_refuses(self):
+        """Lists pickle, but the host holds iterators over them; only
+        a scenario spec can rebuild those."""
+        import pickle
+
+        sim, controller, scenario = self._system()
+        streams = [list(stream) for stream in scenario.op_streams()]
+        host = ClosedLoopHost(sim, controller, streams)
+        host.start()
+        with pytest.raises(TypeError, match="scenario="):
+            pickle.dumps(host)
+        trace = TraceReplayHost(sim, controller, [])
+        with pytest.raises(TypeError, match="scenario="):
+            pickle.dumps(trace)
+
+    def test_scenario_fed_host_round_trips(self):
+        """Fed a scenario, the same class pickles mid-run and resumes
+        with its lookahead ops and progress intact."""
+        import pickle
+
+        sim, controller, scenario = self._system()
+        host = ClosedLoopHost(sim, controller, scenario.op_streams(),
+                              scenario=scenario)
+        host.start()
+        sim.run(max_events=40)
+        assert 0 < host.issued < scenario.total_ops
+        restored = pickle.loads(pickle.dumps(host))
+        assert restored.issued == host.issued
+        assert restored._current == host._current
+        assert [list(it) for it in restored._iters] == \
+            [list(it) for it in host._iters]
 
     def test_tracer_blocks_snapshot(self, tmp_path):
         from repro.fleet.snapshot import SnapshotError

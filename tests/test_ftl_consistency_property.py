@@ -75,7 +75,7 @@ class TestFtlConsistency:
         sim.run()
 
         # completion: nothing stuck
-        assert host.remaining == 0
+        assert host.issued == len(ops)
         assert buffer.is_empty
         assert controller.stats.completed_requests == len(ops)
 

@@ -57,11 +57,11 @@ def random_stream(seed, length=120):
 def test_conservation_invariants(ftl_cls, seed):
     sim, array, buffer, ftl, controller = build_small_system(
         ftl_cls, GEOMETRY, buffer_pages=16)
-    host = ClosedLoopHost(sim, controller,
-                          [random_stream(seed)])
+    stream = random_stream(seed)
+    host = ClosedLoopHost(sim, controller, [stream])
     host.start()
     sim.run()
-    assert host.remaining == 0 and buffer.is_empty
+    assert host.issued == len(stream) and buffer.is_empty
 
     # --- mapping bijectivity over live pages ---------------------------
     live = {}

@@ -173,7 +173,7 @@ def _churn(span=500, rounds=2):
     for _ in range(rounds):
         ops.extend(StreamOp(RequestKind.WRITE, lpn, 1)
                    for lpn in range(span))
-    return StreamScenario.from_streams([ops], name="churn")
+    return StreamScenario([ops], name="churn")
 
 
 def _small_device(spares):
@@ -294,7 +294,7 @@ class TestOnePipeline:
         streams = [[StreamOp(RequestKind.WRITE, lpn, 1)
                     for lpn in range(8)]]
         cell = workload_cell("pageFTL",
-                             scenario=StreamScenario.from_streams(streams))
+                             scenario=StreamScenario(streams))
         assert isinstance(cell.kwargs["scenario"], dict)
         with pytest.raises(TypeError):
             workload_cell("pageFTL", streams)  # type: ignore[misc]

@@ -4,9 +4,10 @@ Covers the PR's contract points: phase-table validation, state-
 conditioned generation (sequential runs, re-reads, idle stretching),
 cross-process determinism of the seeded generator, spec round-trips
 through the engine's JSON encoding, the declared-vs-generated read-mix
-audit of every preset, the :class:`StreamScenario` adapter (byte-identical
-to the materialized closed-loop host), and serial == parallel == cached
-equivalence of the ``scenario_grid`` experiment.
+audit of every preset, the :class:`StreamScenario` adapter
+(byte-identical to the same op lists fed to the closed-loop host), and
+serial == parallel == cached equivalence of the ``scenario_grid``
+experiment.
 """
 
 import json
@@ -35,7 +36,6 @@ from repro.scenarios import (
     Phase,
     PRESETS,
     Scenario,
-    ScenarioOp,
     StreamScenario,
     TenantBinding,
     WorkloadScenario,
@@ -248,7 +248,7 @@ class TestSpecs:
 
     def test_stream_spec_round_trip(self):
         streams = build_workload("OLTP", 256, total_ops=60, seed=1)
-        scenario = StreamScenario.from_streams(streams, tenant="t0")
+        scenario = StreamScenario(streams, tenant="t0")
         clone = scenario_from_spec(scenario.spec())
         assert clone.fingerprint() == scenario.fingerprint()
         assert clone.tenant == "t0"
@@ -310,8 +310,8 @@ class TestRunnerIntegration:
                          config=TEST_CONFIG)
 
     def test_legacy_adapter_is_byte_identical(self):
-        """The adapter drives the device exactly like the materialized
-        closed-loop host the pre-scenario runner used."""
+        """The adapter drives the device exactly like its op lists
+        fed straight to the closed-loop host."""
         streams = self._streams()
         sim, _, _, ftl, controller = build_system("pageFTL", TEST_CONFIG)
         warmup_device(sim, controller, ftl, TEST_CONFIG,
@@ -323,7 +323,7 @@ class TestRunnerIntegration:
         sim.run()
         modern = run_workload(
             ftl_name="pageFTL",
-            scenario=StreamScenario.from_streams(streams),
+            scenario=StreamScenario(streams),
             config=TEST_CONFIG)
         assert json.dumps(stats.to_dict(), sort_keys=True) == \
             json.dumps(modern.stats.to_dict(), sort_keys=True)

@@ -219,7 +219,7 @@ class TestTraceSpec:
 
     def test_stream_scenario_exports_too(self, tmp_path):
         from repro.workloads.benchmarks import build_workload
-        scenario = StreamScenario.from_streams(
+        scenario = StreamScenario(
             build_workload("OLTP", 256, total_ops=60, seed=1))
         path, rows = _export(tmp_path, scenario)
         assert rows == scenario.total_ops

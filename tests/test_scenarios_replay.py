@@ -1,12 +1,12 @@
 """Streaming-replay tests: bounded memory, host semantics, perfbench.
 
 The headline assertion is the PR's acceptance criterion: a >= 1M-op
-on-disk trace replays through the streaming host without materializing
+on-disk trace replays through the trace host without materializing
 the request list — a periodic census of live ``Request`` objects
 during the replay stays orders of magnitude below the trace length
 (a materialized replay would hold all million at once).
 
-Also covers: the streaming trace host's single-op lookahead and
+Also covers: the trace host's single-op lookahead and
 out-of-order detection, end-to-end equivalence of replay-from-CSV with
 direct generation, the streaming ``iter_trace`` loader, and the
 ``scenario_replay`` perfbench case.
@@ -25,12 +25,12 @@ from repro.experiments.runner import (
 )
 from repro.nand.geometry import NandGeometry
 from repro.scenarios import (
-    StreamingTraceReplayHost,
     TraceScenario,
     iter_scenario_csv,
     make_preset,
     write_scenario_csv,
 )
+from repro.sim.host import TraceReplayHost
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Request, RequestKind
 from repro.workloads.trace import iter_trace, load_trace
@@ -99,8 +99,8 @@ class TestBoundedMemoryReplay:
                     census.append(_live_requests())
                 yield request
 
-        host = StreamingTraceReplayHost(sim, controller,
-                                        sampling(trace.requests()))
+        host = TraceReplayHost(sim, controller,
+                               sampling(trace.requests()))
         host.start()
         sim.run()
         assert host.issued == MILLION
@@ -112,7 +112,7 @@ class TestBoundedMemoryReplay:
         assert max(census) < BOUNDED_LIVE_REQUESTS
 
 
-class TestStreamingTraceReplayHost:
+class TestTraceReplayLookahead:
     def _requests(self, times):
         return iter(Request(t, RequestKind.WRITE, i, 1)
                     for i, t in enumerate(times))
@@ -123,25 +123,28 @@ class TestStreamingTraceReplayHost:
         arrivals = []
         controller.submit = \
             lambda req: arrivals.append((sim.now, req.lpn))
-        host = StreamingTraceReplayHost(
+        host = TraceReplayHost(
             sim, controller, self._requests([0.0, 0.5, 0.5, 2.0]))
         host.start()
         sim.run()
         assert arrivals == [(0.0, 0), (0.5, 1), (0.5, 2), (2.0, 3)]
 
-    def test_out_of_order_trace_rejected(self):
+    @pytest.mark.parametrize("feed", [iter, list],
+                             ids=["iterator", "list"])
+    def test_out_of_order_trace_rejected(self, feed):
+        """A lazy and a materialized trace fail alike: at the
+        offending arrival, naming its position."""
         sim = Simulator()
-        host = StreamingTraceReplayHost(
+        host = TraceReplayHost(
             sim, _CountingController(),
-            self._requests([0.0, 1.0, 0.5]))
+            feed(self._requests([0.0, 1.0, 0.5])))
         host.start()
         with pytest.raises(ValueError, match="request 2"):
             sim.run()
 
     def test_empty_trace_is_a_noop(self):
         sim = Simulator()
-        host = StreamingTraceReplayHost(sim, _CountingController(),
-                                        iter(()))
+        host = TraceReplayHost(sim, _CountingController(), iter(()))
         host.start()
         sim.run()
         assert host.issued == 0

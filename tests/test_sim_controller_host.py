@@ -4,16 +4,29 @@ import pytest
 
 from repro.ftl.pageftl import PageFtl
 from repro.nand.timing import NandTiming
-from repro.sim.host import (
-    ClosedLoopHost,
-    StreamOp,
-    TraceReplayHost,
-    run_closed_loop,
-    run_trace,
-)
+from repro.observability.events import SCENARIO_PHASE
+from repro.observability.tracer import Tracer
+from repro.sim.host import ClosedLoopHost, StreamOp, TraceReplayHost
 from repro.sim.queues import Request, RequestKind
 
 from tests.helpers import build_small_system
+
+
+def run_host(sim, controller, host):
+    """Start ``host``, run the simulation dry, return the run's stats."""
+    host.start()
+    sim.run()
+    return controller.stats
+
+
+def replay_trace(sim, controller, trace):
+    return run_host(sim, controller,
+                    TraceReplayHost(sim, controller, trace))
+
+
+def drive_streams(sim, controller, streams):
+    return run_host(sim, controller,
+                    ClosedLoopHost(sim, controller, streams))
 
 
 class TestWriteSemantics:
@@ -134,24 +147,14 @@ class TestTraceReplayHost:
             Request(0.1, RequestKind.WRITE, 0, 1),
             Request(0.5, RequestKind.WRITE, 1, 1),
         ]
-        stats = run_trace(sim, controller, trace)
+        stats = replay_trace(sim, controller, trace)
         assert stats.completed_writes == 2
         assert stats.first_arrival == pytest.approx(0.1)
-
-    def test_unsorted_trace_rejected(self, small_geometry):
-        sim, _, _, _, controller = build_small_system(
-            PageFtl, small_geometry)
-        trace = [
-            Request(0.5, RequestKind.WRITE, 0, 1),
-            Request(0.1, RequestKind.WRITE, 1, 1),
-        ]
-        with pytest.raises(ValueError):
-            TraceReplayHost(sim, controller, trace)
 
     def test_empty_trace(self, small_geometry):
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
-        stats = run_trace(sim, controller, [])
+        stats = replay_trace(sim, controller, [])
         assert stats.completed_requests == 0
 
 
@@ -160,7 +163,7 @@ class TestClosedLoopHost:
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry, buffer_pages=2)
         ops = [StreamOp(RequestKind.WRITE, i, 1) for i in range(10)]
-        stats = run_closed_loop(sim, controller, [ops])
+        stats = drive_streams(sim, controller, [ops])
         assert stats.completed_writes == 10
 
     def test_think_time_spaces_issues(self, small_geometry):
@@ -168,7 +171,7 @@ class TestClosedLoopHost:
             PageFtl, small_geometry)
         ops = [StreamOp(RequestKind.WRITE, i, 1, think_after=0.1)
                for i in range(5)]
-        stats = run_closed_loop(sim, controller, [ops])
+        stats = drive_streams(sim, controller, [ops])
         # 4 think gaps of 0.1 s dominate the makespan.
         assert stats.elapsed >= 0.4
 
@@ -180,24 +183,24 @@ class TestClosedLoopHost:
              for i in range(8)]
             for s in range(3)
         ]
-        stats = run_closed_loop(sim, controller, streams)
+        stats = drive_streams(sim, controller, streams)
         assert stats.completed_writes == 24
 
     def test_remaining_tracks_progress(self, small_geometry):
+        """Ops remaining = op count - ``issued``."""
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
-        host = ClosedLoopHost(sim, controller,
-                              [[StreamOp(RequestKind.WRITE, 0, 1)]])
-        assert host.remaining == 1
+        ops = [StreamOp(RequestKind.WRITE, i, 1) for i in range(3)]
+        host = ClosedLoopHost(sim, controller, [ops])
+        assert host.issued == 0
         host.start()
         sim.run()
-        assert host.remaining == 0
+        assert host.issued == len(ops)
 
     def test_empty_stream_list(self, small_geometry):
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
         host = ClosedLoopHost(sim, controller, [])
-        assert host.remaining == 0
         host.start()
         assert sim.pending == 0
         sim.run()
@@ -207,7 +210,7 @@ class TestClosedLoopHost:
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
         streams = [[], [StreamOp(RequestKind.WRITE, 0, 1)], []]
-        stats = run_closed_loop(sim, controller, streams)
+        stats = drive_streams(sim, controller, streams)
         assert stats.completed_writes == 1
 
     def test_trailing_think_leaves_no_dangling_event(self,
@@ -218,7 +221,7 @@ class TestClosedLoopHost:
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
         ops = [StreamOp(RequestKind.WRITE, 0, 1, think_after=100.0)]
-        stats = run_closed_loop(sim, controller, [ops])
+        stats = drive_streams(sim, controller, [ops])
         assert stats.completed_writes == 1
         assert sim.pending == 0
         assert sim.now < 100.0
@@ -231,6 +234,31 @@ class TestClosedLoopHost:
             lambda request, now: completions.append(request)
         ops = [StreamOp(RequestKind.WRITE, i % 3, 2) for i in range(6)]
         ops += [StreamOp(RequestKind.READ, i % 3, 2) for i in range(6)]
-        run_closed_loop(sim, controller, [ops])
+        drive_streams(sim, controller, [ops])
         assert len(completions) == len(ops)
         assert len(set(map(id, completions))) == len(ops)
+
+    def test_list_fed_ops_keep_tenant_and_phase_tags(self,
+                                                      small_geometry):
+        """A plain op list gets what a scenario gets: each op's own
+        tenant tag (the host's ``tenant`` is only the default) and a
+        ``scenario.phase`` event per phase change under a tracer."""
+        sim, _, _, _, controller = build_small_system(
+            PageFtl, small_geometry)
+        tenants = []
+        controller.completion_hook = \
+            lambda request, now: tenants.append(request.tenant)
+        ops = [StreamOp(RequestKind.WRITE, 0, 1, tenant="a",
+                        phase="fill"),
+               StreamOp(RequestKind.WRITE, 1, 1, phase="fill"),
+               StreamOp(RequestKind.READ, 0, 1, tenant="b",
+                        phase="steady")]
+        tracer = Tracer().install(controller)
+        host = ClosedLoopHost(sim, controller, [ops], tenant="default")
+        run_host(sim, controller, host)
+        tracer.finish()
+        assert tenants == ["a", "default", "b"]
+        phases = [(event.fields["prev"], event.fields["name"])
+                  for event in tracer.events()
+                  if event.kind == SCENARIO_PHASE]
+        assert phases == [("", "fill"), ("fill", "steady")]

@@ -66,7 +66,7 @@ class TestScheduledPowerLoss:
         assert spo.fired
         assert sim.now == pytest.approx(0.05)
         # Work remained when the power died.
-        assert host.remaining > 0 or not buffer.is_empty
+        assert host.issued < 400 or not buffer.is_empty
 
     def test_report_lists_interrupted_programs(self):
         system = build_small_system(PageFtl, GEOMETRY, buffer_pages=32)

@@ -115,7 +115,7 @@ class TestReconciliation:
         tracer = Tracer()
         result = run_workload(
             ftl_name="flexFTL",
-            scenario=StreamScenario.from_streams([mixed_stream()]),
+            scenario=StreamScenario([mixed_stream()]),
             config=config,
             tracer=tracer,
         )
