@@ -3,8 +3,9 @@
 
 The Table 1 emulators are closed-loop; this example shows the other
 evaluation mode: open-loop replay of a timestamped block trace — here
-a synthetic MSR-Cambridge-style capture written to a temp file, parsed
-with :func:`repro.workloads.external.load_msr_trace`, fitted to the
+a synthetic MSR-Cambridge-style capture written to a temporary
+directory (removed on exit), parsed with
+:func:`repro.workloads.external.load_msr_trace`, fitted to the
 simulated device, and replayed against pageFTL and flexFTL.
 
 Usage::
@@ -41,12 +42,18 @@ def synthesize_msr_csv(path: Path, records: int = 4000,
 
 def main() -> None:
     if len(sys.argv) > 1:
-        trace_path = Path(sys.argv[1])
-    else:
-        trace_path = Path(tempfile.mkdtemp()) / "synthetic_msr.csv"
+        replay(Path(sys.argv[1]))
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        trace_path = Path(scratch) / "synthetic_msr.csv"
         synthesize_msr_csv(trace_path)
-        print(f"no trace given; synthesised one at {trace_path}")
+        print(f"no trace given; synthesised one at {trace_path} "
+              f"(removed on exit)")
+        replay(trace_path)
 
+
+def replay(trace_path: Path) -> None:
+    """Replay one MSR capture against pageFTL and flexFTL."""
     raw = load_msr_trace(trace_path)
     print(f"loaded {len(raw)} requests spanning "
           f"{raw[-1].time - raw[0].time:.2f} s")

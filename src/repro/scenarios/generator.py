@@ -23,6 +23,8 @@ The Table-1 presets built on top of this live in
 from __future__ import annotations
 
 import dataclasses
+import math
+from bisect import bisect_left
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -38,6 +40,7 @@ from repro.scenarios.base import (
     scenario_seed,
 )
 from repro.sim.queues import RequestKind
+from repro.workloads.draws import Draws
 from repro.workloads.zipf import ZipfSampler
 
 #: Phase kinds (the schedule vocabulary).
@@ -103,6 +106,16 @@ class Phase:
                 raise ValueError(
                     f"phase {self.name!r}: {field} must be in [0, 1], "
                     f"got {value}")
+        for field in ("think", "burst_idle", "zipf_s"):
+            value = getattr(self, field)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(
+                    f"phase {self.name!r}: {field} must be finite and "
+                    f"non-negative, got {value}")
+        if not math.isfinite(self.idle):
+            raise ValueError(
+                f"phase {self.name!r}: idle must be finite, got "
+                f"{self.idle}")
         if not self.npages or any(n <= 0 for n in self.npages):
             raise ValueError(
                 f"phase {self.name!r}: npages must be positive sizes")
@@ -259,37 +272,39 @@ class WorkloadScenario(Scenario):
         base = ops // self._streams
         return base + (1 if stream < ops % self._streams else 0)
 
-    def _pick_npages(self, phase: Phase,
-                     rng: np.random.Generator) -> int:
-        if len(phase.npages) == 1:
-            return phase.npages[0]
-        if phase.npages_weights is None:
-            return int(phase.npages[rng.integers(0, len(phase.npages))])
-        weights = np.asarray(phase.npages_weights, dtype=float)
-        weights = weights / weights.sum()
-        return int(rng.choice(np.asarray(phase.npages), p=weights))
-
     def _stream_ops(self, index: int) -> Iterator[StreamOp]:
         """Lazily generate one stream's full op sequence.
 
         Holds a one-op lookahead so an ``idle`` phase can stretch the
-        think time of the op *preceding* the window.
+        think time of the op *preceding* the window.  Every draw goes
+        through one :class:`~repro.workloads.draws.Draws`, in a fixed
+        per-op order: the kind, the request size (multi-size phases),
+        then the first page — sequential continuation, recent re-read,
+        hot region, cold region, each tried only when the previous one
+        was not taken.
         """
-        rng = np.random.default_rng(
-            scenario_seed(self.seed, "scenario", self.name, index))
+        draws = Draws(np.random.default_rng(
+            scenario_seed(self.seed, "scenario", self.name, index)))
+        random, integers = draws.random, draws.integers
+        read, write = RequestKind.READ, RequestKind.WRITE
         tenant = self._tenant_of(index)
-        hot_span = int(self._footprint * self.hot_fraction)
+        footprint = self._footprint
+        hot_span = int(footprint * self.hot_fraction)
+        # Cold draws cover the whole cold region regardless of request
+        # size (npages is clamped at the footprint edge), so one
+        # sampler per phase name suffices even with mixed sizes.
+        cold_lo = hot_span if hot_span < footprint else 0
+        cold_n = max(1, footprint - cold_lo)
         recent: deque = deque(maxlen=RECENT_WINDOW)
         last_end: Optional[int] = None
         pending: Optional[StreamOp] = None
         cold_samplers: Dict[str, ZipfSampler] = {}
 
         for phase in self.phases:
+            name = phase.name
             if phase.kind == "idle":
                 if pending is not None:
-                    pending = dataclasses.replace(
-                        pending,
-                        think_after=pending.think_after + phase.idle)
+                    pending.think_after += phase.idle
                 continue
 
             if phase.kind == "fill":
@@ -298,9 +313,8 @@ class WorkloadScenario(Scenario):
                 lpn = lo
                 while lpn < hi:
                     npages = min(size, hi - lpn)
-                    op = StreamOp(RequestKind.WRITE, lpn, npages,
-                                  phase.think, stream=index,
-                                  tenant=tenant, phase=phase.name)
+                    op = StreamOp(write, lpn, npages, phase.think, None,
+                                  index, tenant, name)
                     if pending is not None:
                         yield pending
                     pending = op
@@ -309,25 +323,62 @@ class WorkloadScenario(Scenario):
                 continue
 
             count = self._stream_share(phase.ops, index)
+            read_fraction = phase.read_fraction
+            sizes = phase.npages
+            size = sizes[0] if len(sizes) == 1 else 0
+            weights = None
+            if not size and phase.npages_weights is not None:
+                weights = np.asarray(phase.npages_weights, dtype=float)
+                weights = weights / weights.sum()
+                choices = np.asarray(sizes)
+            seq = phase.seq
+            read_recent = phase.read_recent
+            hot = phase.hot if hot_span > 0 else 0.0
+            think = phase.think
+            burst_len = phase.burst_len if phase.kind == "burst" else 0
+            burst_idle = phase.burst_idle
+            zipf = phase.zipf_s > 0.0
+            cdf = perm = None
             for position in range(count):
-                kind = (RequestKind.READ
-                        if rng.random() < phase.read_fraction
-                        else RequestKind.WRITE)
-                npages = self._pick_npages(phase, rng)
-                lpn = self._sample_lpn(phase, kind, npages, rng,
-                                       hot_span, recent, last_end,
-                                       cold_samplers)
-                npages = min(npages, self._footprint - lpn)
-                think = phase.think
-                if phase.kind == "burst":
-                    last_of_burst = (
-                        position % phase.burst_len == phase.burst_len - 1
-                        or position == count - 1)
-                    think = phase.burst_idle if last_of_burst else 0.0
-                op = StreamOp(kind, lpn, npages, think,
-                              stream=index, tenant=tenant,
-                              phase=phase.name)
-                if kind is RequestKind.WRITE:
+                kind = read if random() < read_fraction else write
+                if size:
+                    npages = size
+                elif weights is None:
+                    npages = sizes[integers(0, len(sizes))]
+                else:
+                    npages = int(draws.choice(choices, p=weights))
+                if (seq > 0.0 and last_end is not None
+                        and random() < seq):
+                    lpn = last_end if last_end + npages <= footprint else 0
+                elif (kind is read and read_recent > 0.0 and recent
+                        and random() < read_recent):
+                    lpn = recent[integers(0, len(recent))]
+                elif hot > 0.0 and random() < hot:
+                    lpn = integers(0, max(1, hot_span - npages + 1))
+                elif zipf:
+                    if cdf is None:
+                        sampler = cold_samplers.get(name)
+                        if sampler is None:
+                            sampler = ZipfSampler(cold_n, phase.zipf_s,
+                                                  draws)
+                            cold_samplers[name] = sampler
+                        cdf, perm = sampler.cdf, sampler.perm
+                        last = sampler.n - 1
+                    # ranks above ``last`` clamp to it (as min() would)
+                    lpn = cold_lo + perm[bisect_left(cdf, random(), 0,
+                                                     last)]
+                else:
+                    lpn = cold_lo + integers(0, cold_n)
+                if lpn + npages > footprint:
+                    npages = footprint - lpn
+                op_think = think
+                if burst_len:
+                    last_of_burst = (position % burst_len == burst_len - 1
+                                     or position == count - 1)
+                    op_think = burst_idle if last_of_burst else 0.0
+                op = StreamOp(kind, lpn, npages, op_think, None, index,
+                              tenant, name)
+                if kind is write:
                     recent.append(lpn)
                 last_end = lpn + npages
                 if pending is not None:
@@ -336,34 +387,6 @@ class WorkloadScenario(Scenario):
 
         if pending is not None:
             yield pending
-
-    def _sample_lpn(self, phase: Phase, kind: RequestKind, npages: int,
-                    rng: np.random.Generator, hot_span: int,
-                    recent: deque, last_end: Optional[int],
-                    cold_samplers: Dict[str, ZipfSampler]) -> int:
-        """Draw the op's first page (state-conditioned)."""
-        span = self._footprint
-        if (phase.seq > 0.0 and last_end is not None
-                and rng.random() < phase.seq):
-            lpn = last_end if last_end + npages <= span else 0
-            return lpn
-        if (kind is RequestKind.READ and phase.read_recent > 0.0
-                and recent and rng.random() < phase.read_recent):
-            return int(recent[int(rng.integers(0, len(recent)))])
-        if hot_span > 0 and phase.hot > 0.0 and rng.random() < phase.hot:
-            return int(rng.integers(0, max(1, hot_span - npages + 1)))
-        # Cold draws cover the whole cold region regardless of request
-        # size (the caller clamps npages at the footprint edge), so one
-        # sampler per phase suffices even with mixed request sizes.
-        cold_lo = hot_span if hot_span < span else 0
-        cold_n = max(1, span - cold_lo)
-        if phase.zipf_s > 0.0:
-            sampler = cold_samplers.get(phase.name)
-            if sampler is None:
-                sampler = ZipfSampler(cold_n, phase.zipf_s, rng)
-                cold_samplers[phase.name] = sampler
-            return cold_lo + sampler.sample()
-        return cold_lo + int(rng.integers(0, cold_n))
 
     # -- lazy views ----------------------------------------------------
 

@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from repro.scenarios.base import Scenario
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class StreamOp:
     """One host operation: a closed-loop stream op or a trace record.
 
@@ -59,6 +59,10 @@ class StreamOp:
         stream: issuing worker-stream index.
         tenant: issuing tenant name, or None for untagged traffic.
         phase: generator phase the op belongs to ("" when unphased).
+
+    Not frozen: a frozen dataclass's ``__init__`` costs about three
+    times as much, and generators build one per op.  Treat an op as a
+    value once it has been handed out.
     """
 
     kind: RequestKind

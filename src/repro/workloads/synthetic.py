@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.sim.host import StreamOp
 from repro.sim.queues import RequestKind
+from repro.workloads.draws import Draws
 from repro.workloads.zipf import ZipfSampler
 
 
@@ -42,13 +43,15 @@ def uniform_random_writes(logical_pages: int, count: int,
                           rng: Optional[np.random.Generator] = None
                           ) -> List[StreamOp]:
     """A stream of uniformly random single/multi-page writes."""
-    rng = rng or np.random.default_rng()
+    draws = Draws(rng or np.random.default_rng())
     upper = max(1, logical_pages - npages + 1)
-    return [
-        StreamOp(RequestKind.WRITE, int(rng.integers(0, upper)), npages,
+    ops = [
+        StreamOp(RequestKind.WRITE, draws.integers(0, upper), npages,
                  think)
         for _ in range(count)
     ]
+    draws.sync()
+    return ops
 
 
 def mixed_stream(logical_pages: int, count: int, read_fraction: float,
@@ -59,14 +62,15 @@ def mixed_stream(logical_pages: int, count: int, read_fraction: float,
     """A steady stream mixing reads and writes with Zipfian locality."""
     if not (0.0 <= read_fraction <= 1.0):
         raise ValueError("read_fraction must be in [0, 1]")
-    rng = rng or np.random.default_rng()
+    draws = Draws(rng or np.random.default_rng())
     span = max(1, logical_pages - npages + 1)
-    sampler = ZipfSampler(span, zipf_s, rng)
+    sampler = ZipfSampler(span, zipf_s, draws)
     ops: List[StreamOp] = []
     for _ in range(count):
-        kind = (RequestKind.READ if rng.random() < read_fraction
+        kind = (RequestKind.READ if draws.random() < read_fraction
                 else RequestKind.WRITE)
         ops.append(StreamOp(kind, sampler.sample(), npages, think))
+    draws.sync()
     return ops
 
 
@@ -99,13 +103,13 @@ def burst_stream(logical_pages: int, bursts: int, burst_len: int,
         raise ValueError("bursts and burst_len must be positive")
     if idle < 0:
         raise ValueError("idle must be non-negative")
-    rng = rng or np.random.default_rng()
+    draws = Draws(rng or np.random.default_rng())
     span = max(1, logical_pages - npages + 1)
-    sampler = ZipfSampler(span, zipf_s, rng)
+    sampler = ZipfSampler(span, zipf_s, draws)
     ops: List[StreamOp] = []
     for _ in range(bursts):
         kinds = [
-            RequestKind.READ if rng.random() < read_fraction
+            RequestKind.READ if draws.random() < read_fraction
             else RequestKind.WRITE
             for _ in range(burst_len)
         ]
@@ -115,10 +119,11 @@ def burst_stream(logical_pages: int, bursts: int, burst_len: int,
         for position, kind in enumerate(kinds):
             think = idle if position == burst_len - 1 else 0.0
             if kind is RequestKind.READ and reads_follow_writes and written:
-                lpn = written[int(rng.integers(0, len(written)))]
+                lpn = written[draws.integers(0, len(written))]
             else:
                 lpn = sampler.sample()
                 if kind is RequestKind.WRITE:
                     written.append(lpn)
             ops.append(StreamOp(kind, lpn, npages, think))
+    draws.sync()
     return ops

@@ -93,6 +93,29 @@ class TestPhaseValidation:
             Phase(name="x", ops=10, npages=(1, 2),
                   npages_weights=(1.0,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("think", -1e-3), ("think", float("nan")), ("think", float("inf")),
+        ("burst_idle", -0.1), ("burst_idle", float("nan")),
+        ("burst_idle", float("inf")),
+        ("zipf_s", -1.0), ("zipf_s", float("nan")),
+        ("zipf_s", float("inf")),
+        ("idle", float("nan")), ("idle", float("inf")),
+        ("idle", float("-inf")),
+    ])
+    def test_malformed_durations_and_skew_rejected(self, field, value):
+        # Each used to get through construction: a negative think time
+        # raised from the kernel's scheduler 12 frames into sim.run(),
+        # a negative or NaN skew silently ran uniform.
+        kind = "burst" if field == "burst_idle" else "steady"
+        fields = dict(name="x", kind=kind, ops=10, burst_len=4)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            Phase(**fields)
+        data = Phase(name="x", kind=kind, ops=10, burst_len=4).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            Phase.from_dict(data)
+
     def test_dict_round_trip(self):
         phase = Phase(name="b", kind="burst", ops=100,
                       read_fraction=0.3, npages=(1, 4),
