@@ -15,8 +15,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 from conftest import BENCH_CONFIG
 
@@ -24,8 +23,7 @@ from conftest import BENCH_CONFIG
 def test_ablation_future_write_predictor(benchmark, save_report):
     config = BENCH_CONFIG
     span = experiment_span(config, utilization=0.5)
-    scenario = StreamScenario(
-        build_workload("Varmail", span, total_ops=14400, seed=1))
+    scenario = ProfileScenario("Varmail", span, total_ops=14400, seed=1)
 
     def run_both():
         base = run_workload(ftl_name="flexFTL", scenario=scenario,

@@ -10,8 +10,7 @@ heavier garbage collection and several times more erasures.
 
 from repro.experiments.runner import experiment_span, run_workload
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 from conftest import BENCH_CONFIG
 
@@ -19,8 +18,8 @@ from conftest import BENCH_CONFIG
 def test_related_work_slc_mode(benchmark, save_report):
     span = experiment_span(BENCH_CONFIG, utilization=0.75,
                            ftls=("slcFTL",))
-    scenario = StreamScenario(build_workload(
-        "Fileserver", span, total_ops=12000, seed=1))
+    scenario = ProfileScenario("Fileserver", span, total_ops=12000,
+                               seed=1)
 
     def run_all():
         return {

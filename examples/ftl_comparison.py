@@ -25,8 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments.fig8 import FTLS
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads import PROFILES, build_workload
+from repro.workloads import PROFILES, ProfileScenario
 
 
 def main() -> None:
@@ -38,13 +37,12 @@ def main() -> None:
         )
     config = ExperimentConfig()
     span = experiment_span(config, utilization=0.75)
-    streams = build_workload(workload, span, total_ops=12000, seed=1)
+    scenario = ProfileScenario(workload, span, total_ops=12000, seed=1)
     profile = PROFILES[workload]
     print(f"workload: {workload} (R:W {profile.read_write_ratio}, "
           f"{profile.intensiveness} intensity)")
 
     print(f"  running {', '.join(FTLS)} in parallel ...")
-    scenario = StreamScenario(streams)
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=ftl)
              for ftl in FTLS]

@@ -31,18 +31,14 @@ from repro.nand.geometry import NandGeometry
 from repro.observability import events as ev
 from repro.observability.summary import summarize_tracer
 from repro.observability.tracer import Tracer
-from repro.scenarios import StreamScenario
-from repro.sim.host import StreamOp
-from repro.sim.queues import RequestKind
+from repro.scenarios import Phase, WorkloadScenario
 
 
-def churny_stream(span, rounds=6):
+def churn(span, rounds=6):
     """A fill plus overwrite rounds — enough churn to trigger GC."""
-    ops = [StreamOp(RequestKind.WRITE, lpn, 1) for lpn in range(span)]
-    for _ in range(rounds):
-        ops.extend(StreamOp(RequestKind.WRITE, lpn, 1)
-                   for lpn in range(span))
-    return ops
+    return WorkloadScenario(
+        "churn", footprint=span, streams=1,
+        phases=(Phase(name="write", kind="fill"),) * (rounds + 1))
 
 
 def main() -> None:
@@ -58,8 +54,7 @@ def main() -> None:
     tracer = Tracer()
     result = run_workload(
         ftl_name="flexFTL",
-        scenario=StreamScenario(
-            [churny_stream(span=500)], name="churn"),
+        scenario=churn(span=500),
         config=config,
         tracer=tracer,
     )
@@ -115,8 +110,7 @@ def main() -> None:
     fault_tracer = Tracer()
     faulted = run_workload(
         ftl_name="flexFTL",
-        scenario=StreamScenario(
-            [churny_stream(span=500, rounds=2)], name="churn"),
+        scenario=churn(span=500, rounds=2),
         config=armed,
         tracer=fault_tracer,
         faults=FaultPlan(seed=3, program_fail_rate=0.002),

@@ -252,7 +252,10 @@ class FlexFtl(BaseFtl):
         takes, buffer pop and mapping update are open-coded forms of
         :meth:`_take_lsb`, :meth:`_take_msb`,
         :meth:`repro.sim.queues.WriteBuffer.pop` and
-        :meth:`repro.ftl.mapping.MappingTable.map_write`.
+        :meth:`repro.ftl.mapping.MappingTable.map_write`; keep them in
+        sync.  What delegating to the base path (plus an
+        ``_allocate_host_page`` override) costs is measured in
+        ``docs/PERFORMANCE.md``, "Hand-synced Python copies".
         """
         if self._pending_invalidations[chip_id]:
             self._flush_parity_invalidations(chip_id)

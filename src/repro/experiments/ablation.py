@@ -34,8 +34,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 
 @dataclasses.dataclass
@@ -61,20 +60,20 @@ class AblationPoint:
         return {"label": self.label, "result": self.result.to_dict()}
 
 
-def _varmail_streams(config: ExperimentConfig, total_ops: int,
-                     utilization: float, seed: int, workload: str):
+def _scenario(config: ExperimentConfig, total_ops: int,
+              utilization: float, seed: int, workload: str
+              ) -> ProfileScenario:
     span = experiment_span(config, utilization=utilization)
-    return build_workload(workload, span, total_ops=total_ops, seed=seed)
+    return ProfileScenario(workload, span, total_ops=total_ops, seed=seed)
 
 
 def _run_points(
     labelled_configs: Sequence[Tuple[str, str, ExperimentConfig]],
-    streams,
+    scenario: ProfileScenario,
     engine: Optional[EngineOptions],
     sweep: str,
 ) -> List[AblationPoint]:
     """Run (label, ftl, config) triples as one engine batch."""
-    scenario = StreamScenario(streams)
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=label)
              for label, ftl, config in labelled_configs]
@@ -94,8 +93,7 @@ def run_quota_ablation(
 ) -> List[AblationPoint]:
     """A1: sweep the initial quota fraction (paper value 0.05)."""
     config = config or ExperimentConfig()
-    streams = _varmail_streams(config, total_ops, utilization, seed,
-                               workload)
+    scenario = _scenario(config, total_ops, utilization, seed, workload)
     grid = []
     for fraction in fractions:
         swept = dataclasses.replace(
@@ -104,7 +102,7 @@ def run_quota_ablation(
                                               quota_fraction=fraction),
         )
         grid.append((f"q0={fraction:.4g}", "flexFTL", swept))
-    return _run_points(grid, streams, engine, "ablation/quota")
+    return _run_points(grid, scenario, engine, "ablation/quota")
 
 
 def run_threshold_ablation(
@@ -120,8 +118,7 @@ def run_threshold_ablation(
 ) -> List[AblationPoint]:
     """A2: sweep (u_high, u_low) (paper values 0.8 / 0.1)."""
     config = config or ExperimentConfig()
-    streams = _varmail_streams(config, total_ops, utilization, seed,
-                               workload)
+    scenario = _scenario(config, total_ops, utilization, seed, workload)
     grid = []
     for u_high, u_low in pairs:
         swept = dataclasses.replace(
@@ -130,7 +127,7 @@ def run_threshold_ablation(
                                               u_high=u_high, u_low=u_low),
         )
         grid.append((f"u_high={u_high} u_low={u_low}", "flexFTL", swept))
-    return _run_points(grid, streams, engine, "ablation/thresholds")
+    return _run_points(grid, scenario, engine, "ablation/thresholds")
 
 
 def run_parity_ablation(
@@ -150,8 +147,7 @@ def run_parity_ablation(
     backup-program count and the erasure count.
     """
     config = config or ExperimentConfig()
-    streams = _varmail_streams(config, total_ops, utilization, seed,
-                               workload)
+    scenario = _scenario(config, total_ops, utilization, seed, workload)
     grid: List[Tuple[str, str, ExperimentConfig]] = [
         ("parityFTL (per 2 LSBs, FPS)", "parityFTL", config),
     ]
@@ -160,7 +156,7 @@ def run_parity_ablation(
         label = ("flexFTL (per block)" if interval == 0
                  else f"flexFTL (per {interval} LSBs)")
         grid.append((label, "flexFTL", swept))
-    points = _run_points(grid, streams, engine, "ablation/parity")
+    points = _run_points(grid, scenario, engine, "ablation/parity")
     # The first label is a display name; keep the historical dict keys.
     keyed = {point.label: point for point in points}
     keyed["parityFTL (per 2 LSBs, FPS)"] = AblationPoint(
@@ -185,8 +181,7 @@ def run_gc_policy_ablation(
     Run at high utilisation so garbage collection actually dominates.
     """
     config = config or ExperimentConfig()
-    streams = _varmail_streams(config, total_ops, utilization, seed,
-                               workload)
+    scenario = _scenario(config, total_ops, utilization, seed, workload)
     grid = []
     for policy in policies:
         swept = dataclasses.replace(
@@ -195,7 +190,7 @@ def run_gc_policy_ablation(
                                            gc_policy=policy),
         )
         grid.append((f"gc={policy}", "flexFTL", swept))
-    return _run_points(grid, streams, engine, "ablation/gc")
+    return _run_points(grid, scenario, engine, "ablation/gc")
 
 
 def run_predictor_ablation(
@@ -212,15 +207,14 @@ def run_predictor_ablation(
     trying to close the gap to.
     """
     config = config or ExperimentConfig()
-    streams = _varmail_streams(config, total_ops, utilization, seed,
-                               workload)
+    scenario = _scenario(config, total_ops, utilization, seed, workload)
     boosted = dataclasses.replace(config, flex_use_predictor=True)
     grid = [
         ("flexFTL", "flexFTL", config),
         ("flexFTL+predictor", "flexFTL", boosted),
         ("pageFTL (reference)", "pageFTL", config),
     ]
-    return _run_points(grid, streams, engine, "ablation/predictor")
+    return _run_points(grid, scenario, engine, "ablation/predictor")
 
 
 def render_ablation(points: Sequence[AblationPoint]) -> str:

@@ -27,8 +27,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.experiments import registry
 from repro.experiments.engine import (
     EngineOptions,
@@ -43,8 +41,7 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.synthetic import mixed_stream
+from repro.workloads.benchmarks import ProfileScenario, WorkloadProfile
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "flexFTL")
 DEFAULT_RATES: Sequence[float] = (0.0, 0.002, 0.005)
@@ -53,8 +50,11 @@ DEFAULT_RATES: Sequence[float] = (0.0, 0.002, 0.005)
 #: for the default rates; the sweep's job is recovery, not exhaustion.
 SPARE_BLOCKS = 4
 
-WORKER_STREAMS = 4
-READ_FRACTION = 0.3
+#: The campaign workload: four steady, write-heavy 1-page streams.
+CAMPAIGN_PROFILE = WorkloadProfile(
+    name="campaign", read_fraction=0.3, intensiveness="very high",
+    streams=4, npages=1, think=0.0, zipf_s=0.9,
+)
 
 
 @dataclasses.dataclass
@@ -79,17 +79,13 @@ class FaultCampaignResult:
         return data
 
 
-def build_campaign_streams(span: int, total_ops: int, seed: int):
+def build_campaign_scenario(span: int, total_ops: int,
+                            seed: int) -> ProfileScenario:
     """The campaign workload: identical for every grid point."""
-    per_stream = max(1, total_ops // WORKER_STREAMS)
-    return [
-        mixed_stream(
-            span, per_stream, read_fraction=READ_FRACTION, npages=1,
-            think=0.0, zipf_s=0.9,
-            rng=np.random.default_rng(derive_seed(seed, "campaign", i)),
-        )
-        for i in range(WORKER_STREAMS)
-    ]
+    return ProfileScenario(
+        CAMPAIGN_PROFILE, span, total_ops,
+        seeds=[derive_seed(seed, "campaign", i)
+               for i in range(CAMPAIGN_PROFILE.streams)])
 
 
 def campaign_config(
@@ -118,8 +114,7 @@ def run_fault_campaign(
     """Run the ``ftl x program-failure-rate`` grid (plus resume run)."""
     config = campaign_config(config)
     span = experiment_span(config, utilization=utilization, ftls=ftls)
-    scenario = StreamScenario(
-        build_campaign_streams(span, total_ops, seed))
+    scenario = build_campaign_scenario(span, total_ops, seed)
 
     cells = [
         workload_cell(

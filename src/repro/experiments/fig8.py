@@ -37,8 +37,7 @@ from repro.experiments.runner import (
 from repro.metrics.bandwidth import cdf_points, peak_ratio
 from repro.metrics.iops import normalize
 from repro.metrics.report import render_grouped_bars, render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 #: Order the paper's figures use.
 FTLS: Sequence[str] = ("pageFTL", "parityFTL", "rtfFTL", "flexFTL")
@@ -193,8 +192,8 @@ def run_fig8(
     coords = []
     for workload in workloads:
         total = max(200, int(base_ops.get(workload, 16000) * scale))
-        scenario = StreamScenario(
-            build_workload(workload, span, total_ops=total, seed=seed))
+        scenario = ProfileScenario(workload, span, total_ops=total,
+                                   seed=seed)
         for ftl in ftls:
             cells.append(workload_cell(ftl, scenario=scenario,
                                        config=config,

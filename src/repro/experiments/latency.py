@@ -25,8 +25,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.latency import summary_row
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 DEFAULT_FTLS: Sequence[str] = ("pageFTL", "parityFTL", "rtfFTL",
                                "flexFTL")
@@ -44,8 +43,8 @@ def run_read_latency_comparison(
     """Run one workload on several FTLs; returns results by FTL name."""
     config = config or ExperimentConfig()
     span = experiment_span(config, utilization=utilization)
-    scenario = StreamScenario(build_workload(
-        workload, span, total_ops=total_ops, seed=seed))
+    scenario = ProfileScenario(workload, span, total_ops=total_ops,
+                               seed=seed)
     cells = [workload_cell(ftl, scenario=scenario, config=config,
                            label=ftl)
              for ftl in ftls]

@@ -23,8 +23,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.report import render_table
 from repro.nand.geometry import NandGeometry
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 
 @dataclasses.dataclass
@@ -84,11 +83,11 @@ def run_scaling_study(
         data_pages = (geometry.blocks_per_chip
                       * geometry.pages_per_block * chips)
         span = max(64, int(data_pages * 0.8 * utilization))
-        streams = build_workload(workload, span,
-                                 total_ops=ops_per_chip * chips,
-                                 seed=seed)
+        scenario = ProfileScenario(workload, span,
+                                   total_ops=ops_per_chip * chips,
+                                   seed=seed)
         cells.append(workload_cell(
-            ftl, scenario=StreamScenario(streams),
+            ftl, scenario=scenario,
             config=config, label=f"{chips} chips"))
         chip_counts.append(chips)
     results = run_cells(cells, options=engine, label="scaling")

@@ -22,8 +22,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import PROFILES, build_workload
+from repro.workloads.benchmarks import PROFILES, ProfileScenario
 
 
 def run_single(
@@ -43,8 +42,8 @@ def run_single(
     """
     config = ExperimentConfig(flex_use_predictor=predictor)
     span = experiment_span(config, utilization=utilization)
-    scenario = StreamScenario(build_workload(
-        workload, span, total_ops=total_ops, seed=seed))
+    scenario = ProfileScenario(workload, span, total_ops=total_ops,
+                               seed=seed)
     (result,) = run_cells(
         [workload_cell(ftl, scenario=scenario, config=config,
                        label=f"{workload}/{ftl}")],

@@ -32,8 +32,7 @@ from repro.experiments.runner import (
     experiment_span,
 )
 from repro.metrics.report import render_table
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 #: Maps one parameter combination to a config.
 ConfigBuilder = Callable[[Mapping[str, object]], ExperimentConfig]
@@ -80,7 +79,7 @@ def run_sweep(
     if not axes:
         raise ValueError("need at least one axis")
     names = list(axes)
-    scenarios: Dict[int, StreamScenario] = {}
+    scenarios: Dict[int, ProfileScenario] = {}
     cells = []
     combos: List[Dict[str, object]] = []
     for combo in itertools.product(*(axes[name] for name in names)):
@@ -88,8 +87,8 @@ def run_sweep(
         config = config_builder(params)
         span = experiment_span(config, utilization=utilization)
         if span not in scenarios:
-            scenarios[span] = StreamScenario(build_workload(
-                workload, span, total_ops=total_ops, seed=seed))
+            scenarios[span] = ProfileScenario(
+                workload, span, total_ops=total_ops, seed=seed)
         label = " ".join(f"{k}={v}" for k, v in params.items())
         cells.append(workload_cell(ftl, scenario=scenarios[span],
                                    config=config, label=label))

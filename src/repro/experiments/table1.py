@@ -8,12 +8,12 @@ read fraction and the issue intensity implied by the think times.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.metrics.report import render_table
 from repro.sim.host import StreamOp
 from repro.sim.queues import RequestKind
-from repro.workloads.benchmarks import PROFILES, build_workload
+from repro.workloads.benchmarks import PROFILES, ProfileScenario
 
 
 @dataclasses.dataclass
@@ -50,7 +50,7 @@ def classify_intensity(mean_think: float,
     return "moderate"
 
 
-def characterize(name: str, streams: Sequence[Sequence[StreamOp]]
+def characterize(name: str, streams: Iterable[Iterable[StreamOp]]
                  ) -> WorkloadCharacteristics:
     """Measure a generated workload's empirical characteristics."""
     ops: List[StreamOp] = [op for stream in streams for op in stream]
@@ -79,9 +79,8 @@ def run_table1(logical_pages: int = 16384, total_ops: int = 20000,
     """Generate and characterise all five workloads."""
     workloads = list(workloads or PROFILES)
     return {
-        name: characterize(
-            name, build_workload(name, logical_pages, total_ops, seed)
-        )
+        name: characterize(name, ProfileScenario(
+            name, logical_pages, total_ops, seed).op_streams())
         for name in workloads
     }
 

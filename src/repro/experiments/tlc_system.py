@@ -26,7 +26,7 @@ from repro.sim.host import ClosedLoopHost
 from repro.sim.kernel import Simulator
 from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 from repro.workloads.synthetic import sequential_fill
 
 #: TLC FTL name -> (class, device scheme).
@@ -123,9 +123,9 @@ def run_tlc_workload(ftl_name: str, workload: str = "Varmail",
     baseline = dict(ftl.counters())
     stats = SimStats(page_size=array.geometry.page_size)
     controller.stats = stats
-    streams = build_workload(workload, span, total_ops=total_ops,
-                             seed=seed)
-    host = ClosedLoopHost(sim, controller, streams)
+    scenario = ProfileScenario(workload, span, total_ops=total_ops,
+                               seed=seed)
+    host = ClosedLoopHost(sim, controller, scenario.op_streams())
     host.start()
     sim.run()
 

@@ -80,9 +80,11 @@ class NandArray:
     def program(self, addr: PhysicalPageAddress,
                 data: Optional[bytes] = None) -> float:
         """Program the page at ``addr``; returns the array latency."""
-        # Inlined chip_at + split_index + geometry.validate + the body
-        # of Chip.program: this and ``read`` run once per simulated
-        # flash op and the call layers were measurable.  The slow paths
+        # Inlined chip_at + split_index + geometry.validate +
+        # Chip.program (its ``constraint_violations`` check and
+        # Block.program): this and ``read`` run once per simulated
+        # flash op; what delegating both costs is measured in docs/
+        # PERFORMANCE.md, "Hand-synced Python copies".  The slow paths
         # delegate so errors carry the exact Chip/Block messages; keep
         # in sync with :meth:`repro.nand.chip.Chip.program`.
         channel, chip, block, page = addr
@@ -127,8 +129,9 @@ class NandArray:
                 and 0 <= block < self._bpc and 0 <= page < self._ppb):
             self.geometry.validate(addr)
         c = self.chips[channel * self._cpc + chip]
-        # Chip.read, inlined; the error path delegates so reads of
-        # erased/destroyed pages raise Block's exact ECC error.
+        # Chip.read, inlined (priced with ``program`` above); the error
+        # path delegates so reads of erased/destroyed pages raise
+        # Block's exact ECC error.
         blk = c.blocks[block]
         if blk._states[page] != PROGRAMMED_CODE:
             return c.read(block, page >> 1, _PTYPES[page & 1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.nand.block import ERASED_CODE, PROGRAMMED_CODE, Block
+from repro.nand.block import Block
 from repro.nand.errors import ProgramSequenceError
 from repro.nand.page_types import PageType
 from repro.nand.sequence import SequenceScheme, constraint_violations
@@ -47,7 +47,7 @@ class Chip:
         self.timing = timing or NandTiming()
         self.scheme = scheme
         #: scheme identity precomputed as plain booleans for the
-        #: per-program legality check
+        #: per-program legality check in NandArray.program
         self._unconstrained = scheme is SequenceScheme.NONE
         self._fps = scheme is SequenceScheme.FPS
         #: program latencies indexed by PageType (IntEnum), precomputed
@@ -72,55 +72,23 @@ class Chip:
                 data: Optional[bytes] = None) -> float:
         """Program one page, enforcing the active sequence scheme.
 
+        The reference path: :meth:`repro.nand.array.NandArray.program`
+        carries the per-op fast copy of this check and comes here only
+        to raise.
+
         Raises:
             ProgramSequenceError: the program would violate the scheme.
             PageStateError: the page was already programmed.
         """
         blk = self.blocks[block]
-        wordlines = blk.wordlines
-        if not 0 <= wordline < wordlines:
-            raise ValueError(
-                f"wordline {wordline} out of range [0, {wordlines})"
-            )
-        # Inlined legality check against the block's raw state codes.
-        # This is the equivalent of ``constraint_violations`` (pairing,
-        # Constraints 1-3, plus Constraint 4 under FPS) without the
-        # predicate-callable indirection; the slow path below is taken
-        # only to build the error message once a violation is certain.
-        states = blk._states
-        if ptype is PageType.LSB:
-            index = 2 * wordline
-            legal = self._unconstrained or (
-                (wordline == 0 or states[index - 2] == PROGRAMMED_CODE)
-                and (not self._fps or wordline < 2
-                     or states[index - 3] == PROGRAMMED_CODE))
-        else:
-            index = 2 * wordline + 1
-            legal = self._unconstrained or (
-                states[index - 1] == PROGRAMMED_CODE
-                and (wordline == 0 or states[index - 2] == PROGRAMMED_CODE)
-                and (wordline + 1 >= wordlines
-                     or states[index + 1] == PROGRAMMED_CODE))
-        if not legal:
-            violations = constraint_violations(
-                blk.is_programmed, wordlines, wordline, ptype, self.scheme
-            )
+        violations = constraint_violations(
+            blk.is_programmed, blk.wordlines, wordline, ptype, self.scheme)
+        if violations:
             raise ProgramSequenceError(
                 f"chip {self.chip_id} block {block}: "
                 + "; ".join(violations)
             )
-        if states[index] == ERASED_CODE:
-            # Open-coded Block.program (its index math and range check
-            # are already done above); the slow path delegates so the
-            # double-program error is raised with Block's exact message.
-            states[index] = PROGRAMMED_CODE
-            blk._used += 1
-            if blk._data is not None:
-                blk._data[index] = data
-            if blk.track_history:
-                blk.program_history.append(index)
-        else:
-            blk.program(wordline, ptype, data)
+        blk.program(wordline, ptype, data)
         if ptype is PageType.LSB:
             self.lsb_programs += 1
         else:
@@ -132,14 +100,7 @@ class Chip:
     def read(self, block: int, wordline: int,
              ptype: PageType) -> "tuple[Optional[bytes], float]":
         """Read one page; returns ``(payload, latency)``."""
-        blk = self.blocks[block]
-        index = 2 * wordline + ptype
-        # Open-coded Block.read; the error path delegates so reads of
-        # erased/destroyed pages raise Block's exact ECC error.
-        if blk._states[index] == PROGRAMMED_CODE:
-            data = blk._data[index] if blk._data is not None else None
-        else:
-            data = blk.read(wordline, ptype)
+        data = self.blocks[block].read(wordline, ptype)
         self.reads += 1
         duration = self.timing.t_read
         self.busy_time += duration

@@ -86,10 +86,7 @@ def _record(args: argparse.Namespace) -> TraceRecordResult:
             f"{sorted(WORKLOADS)}")
     config = ExperimentConfig(track_history=False)
     span = bench_span(args.ftl, config)
-    from repro.scenarios import StreamScenario
-
-    streams = WORKLOADS[args.workload](span, args.scale, args.seed)
-    scenario = StreamScenario(streams, name=args.workload)
+    scenario = WORKLOADS[args.workload](span, args.scale, args.seed)
     tracer = Tracer(capacity=args.capacity)
     run_workload(ftl_name=args.ftl, scenario=scenario, config=config,
                  warmup_span=span, tracer=tracer)

@@ -70,7 +70,7 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
         help="measure the armed physics-error-engine overhead instead "
              "of raw throughput: paired plain/armed rounds of one "
              "workload, both arms with track_history=True "
-             f"(budget {PHYSICS_OVERHEAD_BUDGET_PCT:g}% unless "
+             f"(budget {PHYSICS_OVERHEAD_BUDGET_PCT:g}%% unless "
              "--overhead-budget is given)")
     parser.add_argument(
         "--scale-sweep", action="store_true",

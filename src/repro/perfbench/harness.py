@@ -50,10 +50,10 @@ from repro.experiments.runner import (
 )
 from repro.nand.geometry import NandGeometry
 from repro.qos.host import TenantSpec
-from repro.scenarios.base import StreamScenario
+from repro.scenarios.base import Scenario
+from repro.scenarios.generator import Phase, WorkloadScenario
 from repro.sim._native import active_core
-from repro.sim.host import StreamOp
-from repro.workloads.benchmarks import WorkloadProfile, build_workload
+from repro.workloads.benchmarks import ProfileScenario, WorkloadProfile
 from repro.workloads.synthetic import sequential_fill
 
 #: The benchmarked FTL: flexFTL exercises the paper's full write
@@ -167,31 +167,28 @@ ZIPF_PROFILE = WorkloadProfile(
 )
 
 
-def _fig8_write(span: int, scale: float, seed: int
-                ) -> List[List[StreamOp]]:
+def _fig8_write(span: int, scale: float, seed: int) -> Scenario:
     ops = max(200, int(BASE_OPS * scale))
-    return build_workload("NTRX", span, total_ops=ops, seed=seed)
+    return ProfileScenario("NTRX", span, total_ops=ops, seed=seed)
 
 
-def _zipf_mix(span: int, scale: float, seed: int
-              ) -> List[List[StreamOp]]:
+def _zipf_mix(span: int, scale: float, seed: int) -> Scenario:
     ops = max(200, int(BASE_OPS * scale))
-    return build_workload("zipf-mix", span, total_ops=ops, seed=seed,
-                          profile=ZIPF_PROFILE)
+    return ProfileScenario(ZIPF_PROFILE, span, total_ops=ops, seed=seed)
 
 
-def _endurance_loop(span: int, scale: float, seed: int
-                    ) -> List[List[StreamOp]]:
+def _endurance_loop(span: int, scale: float, seed: int) -> Scenario:
+    """One stream rewriting the span sequentially, 8 pages a request."""
     passes = max(1, round(BASE_PASSES * scale))
-    loop: List[StreamOp] = []
-    for _ in range(passes):
-        loop.extend(sequential_fill(span))
-    return [loop]
+    return WorkloadScenario(
+        "endurance_loop", footprint=span, streams=1,
+        phases=(Phase(name="fill", kind="fill", npages=(8,)),) * passes,
+        seed=seed)
 
 
-#: name -> stream builder ``(span, scale, seed) -> streams``, in
+#: name -> scenario builder ``(span, scale, seed) -> scenario``, in
 #: canonical report order.
-WORKLOADS: Dict[str, Callable[[int, float, int], List[List[StreamOp]]]] = {
+WORKLOADS: Dict[str, Callable[[int, float, int], Scenario]] = {
     "fig8_write": _fig8_write,
     "zipf_mix": _zipf_mix,
     "endurance_loop": _endurance_loop,
@@ -238,8 +235,7 @@ def _workload_keywords(workload: str, span: int, scale: float, seed: int,
     if workload in QOS_WORKLOADS:
         return {"tenants": QOS_WORKLOADS[workload](span, scale, seed),
                 "arbiter": QOS_ARBITER}
-    return {"scenario": StreamScenario(
-        WORKLOADS[workload](span, scale, seed))}
+    return {"scenario": WORKLOADS[workload](span, scale, seed)}
 
 
 def _report(**fields: object) -> Dict[str, object]:

@@ -18,7 +18,6 @@ from repro.scenarios.base import (
     OPEN,
     Scenario,
     StreamOp,
-    StreamScenario,
     TenantBinding,
     as_scenario,
     register_spec_type,
@@ -54,7 +53,6 @@ __all__ = [
     "Scenario",
     "ScenarioCsvError",
     "StreamOp",
-    "StreamScenario",
     "TenantBinding",
     "TraceScenario",
     "WorkloadScenario",

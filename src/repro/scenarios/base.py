@@ -5,9 +5,9 @@ tagged host requests.  The measured run,
 :func:`repro.experiments.runner.run_workload`, takes one via
 ``scenario=``, so the stateful phase generator
 (:mod:`repro.scenarios.generator`), on-disk trace replay
-(:mod:`repro.scenarios.csvio`) and legacy pre-built stream lists
-(:class:`StreamScenario`) drive a simulated device through exactly the
-same code path.
+(:mod:`repro.scenarios.csvio`) and the Table-1 benchmark profiles
+(:class:`~repro.workloads.benchmarks.ProfileScenario`) drive a
+simulated device through exactly the same code path.
 
 Two delivery modes exist, one host each (:mod:`repro.sim.host`):
 
@@ -47,7 +47,7 @@ from typing import (
 )
 
 from repro.sim.host import StreamOp
-from repro.sim.queues import Request, RequestKind
+from repro.sim.queues import Request
 
 #: Delivery modes (see the module docstring).
 CLOSED = "closed"
@@ -153,7 +153,7 @@ class Scenario:
         this order and per-stream replay recovers the originals
         exactly.
         """
-        raise NotImplementedError
+        return _round_robin(self.op_streams())
 
     def op_streams(self) -> List[Iterator[StreamOp]]:
         """One lazy op iterator per closed-loop worker stream."""
@@ -228,92 +228,6 @@ class Scenario:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-# ---------------------------------------------------------------------------
-# legacy adapter
-
-
-_OP_CODES = {RequestKind.READ: "R", RequestKind.WRITE: "W"}
-_OP_KINDS = {"R": RequestKind.READ, "W": RequestKind.WRITE}
-
-
-class StreamScenario(Scenario):
-    """Adapter wrapping pre-built closed-loop stream lists.
-
-    This keeps every pre-scenario workload generator
-    (:mod:`repro.workloads`) usable unchanged::
-
-        scenario = StreamScenario(
-            build_workload("Varmail", span, total_ops=4000))
-        run_workload(ftl_name="flexFTL", scenario=scenario)
-
-    The wrapped streams are already materialized, so this adapter is
-    *not* bounded-memory — it exists for compatibility and for small
-    hand-built workloads.  Its ops are re-tagged with their stream
-    index and the adapter's ``tenant``: the spec records only kind,
-    lpn, npages and think time, so a wrapped op's own tags do not
-    carry over.
-    """
-
-    mode = CLOSED
-
-    def __init__(self, streams: Sequence[Sequence[StreamOp]],
-                 name: str = "streams",
-                 tenant: Optional[str] = None) -> None:
-        self.name = name
-        self.tenant = tenant
-        self._streams: List[List[StreamOp]] = [list(s) for s in streams]
-
-    @property
-    def footprint(self) -> int:
-        touched = [op.lpn + op.npages for stream in self._streams
-                   for op in stream]
-        return max(touched) if touched else 1
-
-    @property
-    def stream_count(self) -> int:
-        return len(self._streams)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(len(s) for s in self._streams)
-
-    def _tag(self, op: StreamOp, stream: int) -> StreamOp:
-        return StreamOp(kind=op.kind, lpn=op.lpn, npages=op.npages,
-                        think_after=op.think_after, stream=stream,
-                        tenant=self.tenant)
-
-    def ops(self) -> Iterator[StreamOp]:
-        return _round_robin(
-            [(self._tag(op, index) for op in stream)
-             for index, stream in enumerate(self._streams)])
-
-    def op_streams(self) -> List[Iterator[StreamOp]]:
-        return [(self._tag(op, index) for op in stream)
-                for index, stream in enumerate(self._streams)]
-
-    def spec(self) -> Dict[str, Any]:
-        return {
-            "type": "streams",
-            "name": self.name,
-            "tenant": self.tenant,
-            # compact row encoding keeps engine cell keys small
-            "streams": [[[_OP_CODES[op.kind], op.lpn, op.npages,
-                          op.think_after] for op in stream]
-                        for stream in self._streams],
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "StreamScenario":
-        streams = [
-            [StreamOp(_OP_KINDS[str(code)], int(lpn), int(npages),
-                      float(think))
-             for code, lpn, npages, think in stream]
-            for stream in spec["streams"]
-        ]
-        return cls(streams, name=str(spec.get("name", "streams")),
-                   tenant=spec.get("tenant"))
-
-
 def _round_robin(iterators: Sequence[Iterator[StreamOp]]
                  ) -> Iterator[StreamOp]:
     """Interleave iterators one op at a time, dropping exhausted ones."""
@@ -344,9 +258,6 @@ def register_spec_type(
     SPEC_TYPES[kind] = builder
 
 
-register_spec_type("streams", StreamScenario.from_spec)
-
-
 def scenario_from_spec(spec: Dict[str, Any]) -> Scenario:
     """Rebuild a scenario from its :meth:`Scenario.spec` dict."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -355,10 +266,11 @@ def scenario_from_spec(spec: Dict[str, Any]) -> Scenario:
             f"{spec!r}")
     kind = str(spec["type"])
     if kind not in SPEC_TYPES:
-        # Late-register the sibling spec types: a pool worker may
-        # resolve a spec before anything imported the full package.
+        # Late-register the other spec types: a pool worker may
+        # resolve a spec before anything imported their modules.
         import repro.scenarios.csvio  # noqa: F401
         import repro.scenarios.generator  # noqa: F401
+        import repro.workloads.benchmarks  # noqa: F401
     if kind not in SPEC_TYPES:
         raise KeyError(
             f"unknown scenario spec type {kind!r}; choose from "

@@ -35,7 +35,6 @@ from repro.scenarios.base import (
     Scenario,
     StreamOp,
     TenantBinding,
-    _round_robin,
     register_spec_type,
     scenario_seed,
 )
@@ -392,9 +391,6 @@ class WorkloadScenario(Scenario):
 
     def op_streams(self) -> List[Iterator[StreamOp]]:
         return [self._stream_ops(i) for i in range(self._streams)]
-
-    def ops(self) -> Iterator[StreamOp]:
-        return _round_robin(self.op_streams())
 
     # -- serialization -------------------------------------------------
 

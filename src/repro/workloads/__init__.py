@@ -20,7 +20,7 @@ from repro.workloads.synthetic import (
 from repro.workloads.benchmarks import (
     PROFILES,
     WorkloadProfile,
-    build_workload,
+    ProfileScenario,
     workload_table,
 )
 
@@ -35,6 +35,6 @@ __all__ = [
     "mixed_stream",
     "WorkloadProfile",
     "PROFILES",
-    "build_workload",
+    "ProfileScenario",
     "workload_table",
 ]

@@ -23,10 +23,11 @@ Fileserver (Filebench)  1:2    high        bursts + idle
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.scenarios.base import CLOSED, Scenario, register_spec_type
 from repro.sim.host import StreamOp
 from repro.workloads.synthetic import burst_stream, mixed_stream
 
@@ -124,58 +125,124 @@ PROFILES: Dict[str, WorkloadProfile] = {
 }
 
 
-def build_workload(
-    name: str,
-    logical_pages: int,
-    total_ops: int,
-    seed: int = 0,
-    profile: Optional[WorkloadProfile] = None,
-) -> List[List[StreamOp]]:
-    """Generate the closed-loop streams of one benchmark workload.
+class ProfileScenario(Scenario):
+    """One benchmark workload as a closed-loop scenario.
+
+    Stream ``i`` is one :func:`~repro.workloads.synthetic.mixed_stream`
+    (steady profiles) or :func:`~repro.workloads.synthetic.burst_stream`
+    (bursty ones) drawn from ``default_rng(seeds[i])``, its ops tagged
+    with the stream index.  The spec holds the profile, span, op budget
+    and seeds, never the ops: every view regenerates them::
+
+        scenario = ProfileScenario("Varmail", span, total_ops=4000)
+        run_workload(ftl_name="flexFTL", scenario=scenario)
 
     Args:
-        name: a :data:`PROFILES` key (ignored when ``profile`` given).
-        logical_pages: the target device's logical page count.
-        total_ops: operations across all streams.
-        seed: RNG seed; generation is deterministic.
-        profile: explicit profile overriding the named one (used by
-            ablation sweeps).
-
-    Returns:
-        One list of :class:`~repro.sim.host.StreamOp` per worker
-        stream, ready for a
-        :class:`~repro.sim.host.ClosedLoopHost`.
+        workload: a :data:`PROFILES` key, or an explicit profile (ablation
+            sweeps, custom benchmark mixes).
+        logical_pages: the address span the streams draw from.
+        total_ops: operations across all streams; each stream gets
+            ``total_ops // streams`` of them (bursty streams: the whole
+            bursts that fit).
+        seed: base seed; stream ``i`` uses ``seed * 7919 + i``.
+        seeds: explicit per-stream seeds (one per profile stream),
+            used instead of ``seed``.
     """
-    if profile is None:
-        if name not in PROFILES:
-            raise KeyError(
-                f"unknown workload {name!r}; choose from {sorted(PROFILES)}"
-            )
-        profile = PROFILES[name]
-    if total_ops <= 0:
-        raise ValueError(f"total_ops must be positive, got {total_ops}")
-    ops_per_stream = max(1, total_ops // profile.streams)
-    streams: List[List[StreamOp]] = []
-    for stream_index in range(profile.streams):
-        rng = np.random.default_rng(seed * 7919 + stream_index)
+
+    mode = CLOSED
+
+    def __init__(self, workload: Union[str, WorkloadProfile],
+                 logical_pages: int, total_ops: int, seed: int = 0,
+                 seeds: Optional[Sequence[int]] = None) -> None:
+        if isinstance(workload, WorkloadProfile):
+            profile = workload
+        elif workload in PROFILES:
+            profile = PROFILES[workload]
+        else:
+            raise KeyError(f"unknown workload {workload!r}; choose from "
+                           f"{sorted(PROFILES)}")
+        if total_ops <= 0:
+            raise ValueError(
+                f"total_ops must be positive, got {total_ops}")
+        if seeds is None:
+            seeds = [seed * 7919 + i for i in range(profile.streams)]
+        if len(seeds) != profile.streams:
+            raise ValueError(
+                f"{profile.name} has {profile.streams} streams, got "
+                f"{len(seeds)} seeds")
+        self.name = profile.name
+        self.profile = profile
+        self.logical_pages = int(logical_pages)
+        self.requested_ops = int(total_ops)
+        self.seeds = tuple(int(s) for s in seeds)
+        self._per_stream = max(1, self.requested_ops // profile.streams)
         if profile.is_bursty:
-            bursts = max(1, ops_per_stream // profile.burst_len)
-            stream = burst_stream(
-                logical_pages, bursts, profile.burst_len,
+            self._bursts = max(1, self._per_stream // profile.burst_len)
+            self._per_stream = self._bursts * profile.burst_len
+        self._footprint: Optional[int] = None
+
+    @property
+    def footprint(self) -> int:
+        """One past the highest page the ops touch (one generation pass,
+        memoised on the instance)."""
+        if self._footprint is None:
+            self._footprint = max(
+                op.lpn + op.npages for index in range(self.profile.streams)
+                for op in self._generate(index))
+        return self._footprint
+
+    @property
+    def stream_count(self) -> int:
+        return self.profile.streams
+
+    @property
+    def total_ops(self) -> int:
+        """Operations the streams emit (whole bursts for bursty ones)."""
+        return self._per_stream * self.profile.streams
+
+    def _generate(self, index: int) -> List[StreamOp]:
+        profile = self.profile
+        rng = np.random.default_rng(self.seeds[index])
+        if profile.is_bursty:
+            return burst_stream(
+                self.logical_pages, self._bursts, profile.burst_len,
                 idle=profile.burst_idle,
                 read_fraction=profile.read_fraction,
                 npages=profile.npages, zipf_s=profile.zipf_s,
                 reads_follow_writes=profile.reads_recent, rng=rng,
             )
-        else:
-            stream = mixed_stream(
-                logical_pages, ops_per_stream,
-                read_fraction=profile.read_fraction,
-                npages=profile.npages, think=profile.think,
-                zipf_s=profile.zipf_s, rng=rng,
-            )
-        streams.append(stream)
-    return streams
+        return mixed_stream(
+            self.logical_pages, self._per_stream,
+            read_fraction=profile.read_fraction, npages=profile.npages,
+            think=profile.think, zipf_s=profile.zipf_s, rng=rng,
+        )
+
+    def _stream(self, index: int) -> Iterator[StreamOp]:
+        for op in self._generate(index):
+            op.stream = index
+            yield op
+
+    def op_streams(self) -> List[Iterator[StreamOp]]:
+        return [self._stream(index)
+                for index in range(self.profile.streams)]
+
+    def spec(self) -> Dict[str, Any]:
+        return {
+            "type": "profile",
+            "profile": dataclasses.asdict(self.profile),
+            "logical_pages": self.logical_pages,
+            "total_ops": self.requested_ops,
+            "seeds": list(self.seeds),
+        }
+
+    @classmethod
+    def from_spec(cls, spec: Dict[str, Any]) -> "ProfileScenario":
+        return cls(WorkloadProfile(**spec["profile"]),
+                   int(spec["logical_pages"]), int(spec["total_ops"]),
+                   seeds=spec["seeds"])
+
+
+register_spec_type("profile", ProfileScenario.from_spec)
 
 
 def workload_table(profiles: Optional[Dict[str, WorkloadProfile]] = None

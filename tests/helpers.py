@@ -11,10 +11,13 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
+from repro.scenarios.base import CLOSED, Scenario, register_spec_type
 from repro.sim.controller import StorageController
+from repro.sim.host import StreamOp
 from repro.sim.kernel import Simulator
-from repro.sim.queues import WriteBuffer
+from repro.sim.queues import RequestKind, WriteBuffer
 from repro.sim.stats import SimStats
+from repro.workloads.benchmarks import ProfileScenario
 
 #: FTL class -> device sequence scheme it requires.
 FTL_SCHEMES = {
@@ -91,3 +94,78 @@ def build_small_system(ftl_cls, geometry, buffer_pages=32,
     stats = SimStats(page_size=geometry.page_size)
     controller = StorageController(sim, array, ftl, buffer, stats)
     return sim, array, buffer, ftl, controller
+
+
+def profile_streams(workload, logical_pages, total_ops, seed=0):
+    """A benchmark profile's streams as materialised op lists."""
+    scenario = ProfileScenario(workload, logical_pages, total_ops, seed)
+    return [list(stream) for stream in scenario.op_streams()]
+
+
+_OP_CODES = {RequestKind.READ: "R", RequestKind.WRITE: "W"}
+_OP_KINDS = {"R": RequestKind.READ, "W": RequestKind.WRITE}
+
+
+class StreamScenario(Scenario):
+    """Closed-loop scenario over hand-built op lists.
+
+    The lists are materialised, and the spec writes every op out as a
+    row, so this is for small test workloads only.  Ops are re-tagged
+    with their stream index and the scenario's ``tenant``: the spec
+    records only kind, lpn, npages and think time, so a wrapped op's
+    own tags do not carry over.
+    """
+
+    mode = CLOSED
+
+    def __init__(self, streams, name="streams", tenant=None):
+        self.name = name
+        self.tenant = tenant
+        self._streams = [list(s) for s in streams]
+
+    @property
+    def footprint(self):
+        touched = [op.lpn + op.npages for stream in self._streams
+                   for op in stream]
+        return max(touched) if touched else 1
+
+    @property
+    def stream_count(self):
+        return len(self._streams)
+
+    @property
+    def total_ops(self):
+        return sum(len(s) for s in self._streams)
+
+    def _tagged(self, index):
+        for op in self._streams[index]:
+            yield StreamOp(kind=op.kind, lpn=op.lpn, npages=op.npages,
+                           think_after=op.think_after, stream=index,
+                           tenant=self.tenant)
+
+    def op_streams(self):
+        return [self._tagged(index) for index in range(len(self._streams))]
+
+    def spec(self):
+        return {
+            "type": "streams",
+            "name": self.name,
+            "tenant": self.tenant,
+            "streams": [[[_OP_CODES[op.kind], op.lpn, op.npages,
+                          op.think_after] for op in stream]
+                        for stream in self._streams],
+        }
+
+    @classmethod
+    def from_spec(cls, spec):
+        streams = [
+            [StreamOp(_OP_KINDS[str(code)], int(lpn), int(npages),
+                      float(think))
+             for code, lpn, npages, think in stream]
+            for stream in spec["streams"]
+        ]
+        return cls(streams, name=str(spec.get("name", "streams")),
+                   tenant=spec.get("tenant"))
+
+
+register_spec_type("streams", StreamScenario.from_spec)

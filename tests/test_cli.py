@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -27,6 +29,21 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert callable(args.fn)
+
+
+    def test_every_help_text_renders(self):
+        # argparse expands ``%`` in help strings only when it renders
+        # them, so a stray ``%`` crashes ``--help`` and nothing else.
+        pending = [build_parser()]
+        rendered = 0
+        while pending:
+            parser = pending.pop()
+            assert parser.format_help()
+            rendered += 1
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    pending.extend(action.choices.values())
+        assert rendered > 10
 
 
 class TestCommands:

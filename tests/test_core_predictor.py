@@ -12,8 +12,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.nand.geometry import NandGeometry
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 
 class TestEwmaBurstPredictor:
@@ -87,13 +86,13 @@ class TestFlexFtlPredictorIntegration:
 
     def test_predictor_triggers_extra_collection(self):
         span = experiment_span(self.CONFIG, utilization=0.45)
-        streams = build_workload("Varmail", span, total_ops=4000,
-                                 seed=2)
+        scenario = ProfileScenario("Varmail", span, total_ops=4000,
+                                   seed=2)
         base = run_workload(ftl_name="flexFTL",
-                            scenario=StreamScenario(streams),
+                            scenario=scenario,
                             config=self.CONFIG)
         boosted = run_workload(
-            ftl_name="flexFTL", scenario=StreamScenario(streams),
+            ftl_name="flexFTL", scenario=scenario,
             config=dataclasses.replace(self.CONFIG,
                                        flex_use_predictor=True))
         # Just-in-time collection leaves the quota healthier.
@@ -103,12 +102,12 @@ class TestFlexFtlPredictorIntegration:
 
     def test_predictor_absent_means_paper_behaviour(self):
         span = experiment_span(self.CONFIG, utilization=0.45)
-        streams = build_workload("Varmail", span, total_ops=2000,
-                                 seed=2)
+        scenario = ProfileScenario("Varmail", span, total_ops=2000,
+                                   seed=2)
         a = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario(streams),
+                         scenario=scenario,
                          config=self.CONFIG)
         b = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario(streams),
+                         scenario=scenario,
                          config=self.CONFIG)
         assert a.counters == b.counters  # deterministic, no predictor

@@ -28,9 +28,9 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.nand.geometry import NandGeometry
-from repro.scenarios.base import StreamScenario
+from repro.scenarios.base import scenario_from_spec
 from repro.sim.stats import SimStats
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 #: Small device so engine tests stay fast.
 TEST_CONFIG = ExperimentConfig(
@@ -41,9 +41,9 @@ TEST_CONFIG = ExperimentConfig(
 )
 
 
-def _small_streams(workload="OLTP", total_ops=300, seed=1):
+def _small_scenario(workload="OLTP", total_ops=300, seed=1):
     span = experiment_span(TEST_CONFIG, utilization=0.5)
-    return build_workload(workload, span, total_ops=total_ops, seed=seed)
+    return ProfileScenario(workload, span, total_ops=total_ops, seed=seed)
 
 
 class TestDeriveSeed:
@@ -102,17 +102,17 @@ class TestRoundTrips:
         assert "stepping" not in clone.to_dict()
 
     def test_run_result_round_trip(self):
-        streams = _small_streams()
+        scenario = _small_scenario()
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario(streams),
+                              scenario=scenario,
                               config=TEST_CONFIG)
         clone = RunResult.from_dict(result.to_dict())
         assert clone == result
 
     def test_run_result_dict_is_json_stable(self):
-        streams = _small_streams()
+        scenario = _small_scenario()
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario(streams),
+                              scenario=scenario,
                               config=TEST_CONFIG)
         payload = json.dumps(result.to_dict(), sort_keys=True)
         clone = RunResult.from_dict(json.loads(payload))
@@ -140,9 +140,9 @@ class TestEngine:
     def _cells(self):
         cells = []
         for workload in ("OLTP", "Varmail"):
-            streams = _small_streams(workload)
+            scenario = _small_scenario(workload)
             cells.append(workload_cell(
-                "pageFTL", scenario=StreamScenario(streams),
+                "pageFTL", scenario=scenario,
                 config=TEST_CONFIG, label=workload))
         return cells
 
@@ -161,18 +161,18 @@ class TestEngine:
         results = run_cells(cells, options=EngineOptions(jobs=2))
         # Distinct workloads complete distinct request counts; order
         # must follow the submitted cells, not completion time.
-        expected = [sum(len(s) for s in cell.kwargs["scenario"]["streams"])
+        expected = [scenario_from_spec(cell.kwargs["scenario"]).total_ops
                     for cell in cells]
         assert [r.stats.completed_requests for r in results] == expected
 
     def test_inline_run_equals_run_workload_round_trip(self):
-        streams = _small_streams()
+        scenario = _small_scenario()
         cell = workload_cell(
-            "pageFTL", scenario=StreamScenario(streams),
+            "pageFTL", scenario=scenario,
             config=TEST_CONFIG)
         (engine_result,) = run_cells([cell])
         direct = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario(streams),
+                              scenario=scenario,
                               config=TEST_CONFIG)
         assert engine_result == direct
 
@@ -180,9 +180,9 @@ class TestEngine:
 class TestResultCache:
     def test_disk_round_trip(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        streams = _small_streams()
+        scenario = _small_scenario()
         cell = workload_cell(
-            "pageFTL", scenario=StreamScenario(streams),
+            "pageFTL", scenario=scenario,
             config=TEST_CONFIG)
 
         (cold,) = run_cells([cell], options=EngineOptions(cache=cache))

@@ -29,8 +29,7 @@ from repro.experiments.table1 import (
     run_table1,
 )
 from repro.nand.geometry import NandGeometry
-from repro.scenarios.base import StreamScenario
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 
 #: Small device so experiment-driver tests stay fast.
 TEST_CONFIG = ExperimentConfig(
@@ -60,23 +59,23 @@ class TestRunner:
 
     def test_run_workload_measured_phase_only(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)
-        streams = build_workload("OLTP", span, total_ops=300, seed=1)
+        scenario = ProfileScenario("OLTP", span, total_ops=300, seed=1)
         result = run_workload(ftl_name="pageFTL",
-                              scenario=StreamScenario(streams),
+                              scenario=scenario,
                               config=TEST_CONFIG)
         # Warmup wrote the whole span but is excluded from counters.
         assert result.stats.completed_requests == \
-            sum(len(s) for s in streams)
+            scenario.total_ops
         assert result.counters["host_programs"] < span + 100
 
     def test_results_are_reproducible(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)
-        streams = build_workload("Varmail", span, total_ops=300, seed=3)
+        scenario = ProfileScenario("Varmail", span, total_ops=300, seed=3)
         a = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario(streams),
+                         scenario=scenario,
                          config=TEST_CONFIG)
         b = run_workload(ftl_name="flexFTL",
-                         scenario=StreamScenario(streams),
+                         scenario=scenario,
                          config=TEST_CONFIG)
         assert a.iops == pytest.approx(b.iops)
         assert a.erases == b.erases

@@ -13,7 +13,7 @@ from repro.experiments.engine import (
     workload_cell,
 )
 from repro.experiments.fault_campaign import (
-    build_campaign_streams,
+    build_campaign_scenario,
     campaign_config,
     render_fault_campaign,
     run_fault_campaign,
@@ -25,7 +25,6 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.nand.geometry import NandGeometry
-from repro.scenarios.base import StreamScenario
 
 TEST_CONFIG = campaign_config(ExperimentConfig(
     geometry=NandGeometry(channels=2, chips_per_channel=2,
@@ -40,8 +39,7 @@ TEST_RATE = 0.01
 def _scenario(seed=1):
     span = experiment_span(TEST_CONFIG, utilization=0.6,
                           ftls=("pageFTL", "flexFTL"))
-    return StreamScenario(
-        build_campaign_streams(span, TEST_OPS, seed))
+    return build_campaign_scenario(span, TEST_OPS, seed)
 
 
 def _plan(seed=1):

@@ -31,11 +31,12 @@ from repro.observability.tracer import Tracer
 from repro.perfbench import harness
 from repro.qos.host import TenantSpec
 from repro.reliability.physics import PhysicsConfig
-from repro.scenarios.base import OPEN, StreamScenario
+from repro.scenarios.base import OPEN
 from repro.scenarios.csvio import TraceScenario, write_scenario_csv
 from repro.scenarios.presets import make_preset
 from repro.sim.host import StreamOp
 from repro.sim.queues import RequestKind
+from tests.helpers import StreamScenario
 
 #: Power cuts inside the measured phase of a few thousand 1-page ops.
 CUTS = [0.004, 0.008]

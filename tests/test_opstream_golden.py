@@ -9,14 +9,28 @@ computed another way — changes a digest here.  Golden fig8 pins the
 
 Each stream is a preset at footprint 6000 with 4000 measured ops;
 the digest is the first 16 hex digits of :meth:`Scenario.fingerprint`.
+
+The Table-1 profile digests further down pin the benchmark workloads
+(:class:`~repro.workloads.benchmarks.ProfileScenario`) from the time
+they were still materialised op lists, one list per stream.  They were
+taken over those lists with each op tagged with the index of the list
+it came from.  (The list adapter of that time tagged every op with the
+*last* stream index, a late-binding slip in its generator expressions;
+the op contents and order were the same.)
 """
+
+import hashlib
 
 import pytest
 
+from repro.experiments.fault_campaign import build_campaign_scenario
+from repro.experiments.fig8 import DEFAULT_OPS
 from repro.fleet.service import FleetSpec, run_fleet
+from repro.perfbench.harness import WORKLOADS
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.generator import Phase, WorkloadScenario
 from repro.scenarios.presets import PRESETS, make_preset
+from repro.workloads.benchmarks import PROFILES, ProfileScenario
 
 FOOTPRINT = 6000
 OPS = 4000
@@ -105,3 +119,81 @@ def test_small_bursty_fleet_fingerprint_is_golden():
                        jobs=1)
     assert served.report.fingerprint() == (
         "2d97dd5047d430c225f9cdbdc3b3451c877dfb01b32ff846ebeb83b740df9a3b")
+
+
+#: The default fig8 span (utilisation 0.75 of the default device).
+SPAN = 19046
+
+#: (profile, seed) -> digest of the default fig8 cell's workload.
+GOLDEN_PROFILES = {
+    ("OLTP", 1): "fc8c8acb8a8ade00",
+    ("OLTP", 2): "04eed69b5a8b7cc8",
+    ("NTRX", 1): "8809c03a3d91afdf",
+    ("NTRX", 2): "9cd636812bea53c3",
+    ("Webserver", 1): "bf299e5c705cffd9",
+    ("Webserver", 2): "1846446b5102120d",
+    ("Varmail", 1): "1b2fc61734b867b2",
+    ("Varmail", 2): "65e005d838e76639",
+    ("Fileserver", 1): "b7c91ca2adf284f0",
+    ("Fileserver", 2): "10d9c3cf56d2472a",
+}
+
+#: (profile, seed) -> footprint (highest page touched, plus one); the
+#: warm-up fills exactly this span, so golden fig8 depends on it.
+GOLDEN_FOOTPRINTS = {
+    ("OLTP", 1): 19043, ("OLTP", 2): 19041,
+    ("NTRX", 1): 19043, ("NTRX", 2): 19041,
+    ("Webserver", 1): 19046, ("Webserver", 2): 19043,
+    ("Varmail", 1): 19045, ("Varmail", 2): 19046,
+    ("Fileserver", 1): 19041, ("Fileserver", 2): 19046,
+}
+
+
+def test_every_profile_is_pinned():
+    assert {name for name, _ in GOLDEN_PROFILES} == set(PROFILES)
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_PROFILES))
+def test_profile_stream_is_golden(name, seed):
+    scenario = ProfileScenario(name, SPAN, DEFAULT_OPS[name], seed=seed)
+    assert scenario.fingerprint()[:16] == GOLDEN_PROFILES[(name, seed)]
+    assert scenario.footprint == GOLDEN_FOOTPRINTS[(name, seed)]
+    assert scenario.total_ops == sum(1 for _ in scenario.ops())
+
+
+@pytest.mark.parametrize("seed,digest", [(1, "8c600ef59ea686c2"),
+                                         (2, "54056515a05d47f4")])
+def test_fault_campaign_stream_is_golden(seed, digest):
+    scenario = build_campaign_scenario(SPAN, 3000, seed)
+    assert scenario.fingerprint()[:16] == digest
+    assert scenario.footprint == 19039
+
+
+@pytest.mark.parametrize("workload,digest", [
+    ("fig8_write", "e0d88b8ebb384ccb"),
+    ("zipf_mix", "f4978eb309ae789e"),
+])
+def test_perfbench_stream_is_golden(workload, digest):
+    # ``perfbench --quick``: scale 0.1 at the benchmark span
+    scenario = WORKLOADS[workload](SPAN, 0.1, 1)
+    assert scenario.fingerprint()[:16] == digest
+
+
+@pytest.mark.parametrize("scale,ops,digest", [
+    (0.1, 2381, "748af8347e588e79"),
+    (1.0, 7143, "b3b8dbb28c744b7f"),
+])
+def test_endurance_loop_matches_sequential_fill_passes(scale, ops, digest):
+    """The loop was ``passes`` concatenated sequential fills; it now
+    carries a ``fill`` phase tag, so only the op fields are pinned."""
+    scenario = WORKLOADS["endurance_loop"](SPAN, scale, 1)
+    (stream,) = scenario.op_streams()
+    digest_of = hashlib.sha256()
+    count = 0
+    for op in stream:
+        count += 1
+        digest_of.update(f"{op.kind.value},{op.lpn},{op.npages},"
+                         f"{op.think_after!r};".encode("utf-8"))
+    assert count == ops == scenario.total_ops
+    assert digest_of.hexdigest()[:16] == digest
+    assert scenario.footprint == SPAN

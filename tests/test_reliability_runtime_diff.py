@@ -51,7 +51,7 @@ from repro.reliability.physics import (
 )
 from repro.scenarios.presets import make_preset
 from repro.sim.host import ClosedLoopHost
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
 from repro.workloads.synthetic import sequential_fill
 
 WORDLINES = 16
@@ -177,8 +177,8 @@ def _check_live_run_aggressors(kernel="calendar"):
 
     engine = PhysicsEngine(PhysicsConfig())
     controller.attach_physics(engine)
-    streams = build_workload("NTRX", span, total_ops=600, seed=3)
-    host = ClosedLoopHost(sim, controller, streams)
+    scenario = ProfileScenario("NTRX", span, total_ops=600, seed=3)
+    host = ClosedLoopHost(sim, controller, scenario.op_streams())
     host.start()
     sim.run()
 

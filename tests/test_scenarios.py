@@ -4,7 +4,7 @@ Covers the PR's contract points: phase-table validation, state-
 conditioned generation (sequential runs, re-reads, idle stretching),
 cross-process determinism of the seeded generator, spec round-trips
 through the engine's JSON encoding, the declared-vs-generated read-mix
-audit of every preset, the :class:`StreamScenario` adapter
+audit of every preset, the Table-1 profile scenario
 (byte-identical to the same op lists fed to the closed-loop host), and
 serial == parallel == cached equivalence of the ``scenario_grid``
 experiment.
@@ -36,7 +36,6 @@ from repro.scenarios import (
     Phase,
     PRESETS,
     Scenario,
-    StreamScenario,
     TenantBinding,
     WorkloadScenario,
     as_scenario,
@@ -47,7 +46,8 @@ from repro.scenarios import (
 from repro.qos.host import TenantSpec
 from repro.sim.host import ClosedLoopHost
 from repro.sim.queues import RequestKind
-from repro.workloads.benchmarks import build_workload
+from repro.workloads.benchmarks import ProfileScenario
+from tests.helpers import StreamScenario, profile_streams
 
 #: Small device so scenario tests stay fast.
 TEST_CONFIG = ExperimentConfig(
@@ -270,7 +270,7 @@ class TestSpecs:
             scenario.fingerprint()
 
     def test_stream_spec_round_trip(self):
-        streams = build_workload("OLTP", 256, total_ops=60, seed=1)
+        streams = profile_streams("OLTP", 256, total_ops=60, seed=1)
         scenario = StreamScenario(streams, tenant="t0")
         clone = scenario_from_spec(scenario.spec())
         assert clone.fingerprint() == scenario.fingerprint()
@@ -325,7 +325,7 @@ class TestPresets:
 class TestRunnerIntegration:
     def _streams(self):
         span = experiment_span(TEST_CONFIG, utilization=0.5)
-        return build_workload("OLTP", span, total_ops=200, seed=1)
+        return profile_streams("OLTP", span, total_ops=200, seed=1)
 
     def test_streams_kwarg_is_gone(self):
         with pytest.raises(TypeError, match="streams"):
@@ -333,8 +333,8 @@ class TestRunnerIntegration:
                          config=TEST_CONFIG)
 
     def test_legacy_adapter_is_byte_identical(self):
-        """The adapter drives the device exactly like its op lists
-        fed straight to the closed-loop host."""
+        """A profile scenario drives the device exactly like its op
+        lists fed straight to the closed-loop host."""
         streams = self._streams()
         sim, _, _, ftl, controller = build_system("pageFTL", TEST_CONFIG)
         warmup_device(sim, controller, ftl, TEST_CONFIG,
@@ -346,7 +346,9 @@ class TestRunnerIntegration:
         sim.run()
         modern = run_workload(
             ftl_name="pageFTL",
-            scenario=StreamScenario(streams),
+            scenario=ProfileScenario(
+                "OLTP", experiment_span(TEST_CONFIG, utilization=0.5),
+                total_ops=200, seed=1),
             config=TEST_CONFIG)
         assert json.dumps(stats.to_dict(), sort_keys=True) == \
             json.dumps(modern.stats.to_dict(), sort_keys=True)

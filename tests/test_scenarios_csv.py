@@ -14,7 +14,6 @@ import pytest
 
 from repro.scenarios import (
     ScenarioCsvError,
-    StreamScenario,
     TraceScenario,
     iter_scenario_csv,
     make_preset,
@@ -218,9 +217,8 @@ class TestTraceSpec:
             scenario_from_spec(spec)
 
     def test_stream_scenario_exports_too(self, tmp_path):
-        from repro.workloads.benchmarks import build_workload
-        scenario = StreamScenario(
-            build_workload("OLTP", 256, total_ops=60, seed=1))
+        from repro.workloads.benchmarks import ProfileScenario
+        scenario = ProfileScenario("OLTP", 256, total_ops=60, seed=1)
         path, rows = _export(tmp_path, scenario)
         assert rows == scenario.total_ops
         assert TraceScenario(path).fingerprint() == \

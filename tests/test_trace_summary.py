@@ -17,9 +17,9 @@ from repro.nand.geometry import NandGeometry
 from repro.observability.summary import (summarize_jsonl,
                                          summarize_tracer)
 from repro.observability.tracer import Tracer
-from repro.scenarios.base import StreamScenario
 from repro.sim.host import ClosedLoopHost, StreamOp
 from repro.sim.queues import RequestKind
+from tests.helpers import StreamScenario
 
 from tests.helpers import build_small_system
 

@@ -1,12 +1,20 @@
 """Tests for the workloads package."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.scenarios.base import scenario_from_spec
 from repro.sim.queues import Request, RequestKind
 from repro.workloads.benchmarks import (
     PROFILES,
-    build_workload,
+    ProfileScenario,
+    WorkloadProfile,
     format_rw_ratio,
     workload_table,
 )
@@ -18,6 +26,7 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.trace import load_trace, save_trace
 from repro.workloads.zipf import ZipfSampler
+from tests.helpers import profile_streams
 
 
 class TestZipf:
@@ -147,29 +156,91 @@ class TestBenchmarkProfiles:
 
     def test_build_workload_stream_count(self):
         for name, profile in PROFILES.items():
-            streams = build_workload(name, 4096, total_ops=800, seed=1)
-            assert len(streams) == profile.streams
+            scenario = ProfileScenario(name, 4096, total_ops=800, seed=1)
+            assert scenario.stream_count == profile.streams
+            assert len(scenario.op_streams()) == profile.streams
 
     def test_build_workload_deterministic(self):
-        a = build_workload("Varmail", 4096, 400, seed=9)
-        b = build_workload("Varmail", 4096, 400, seed=9)
+        a = profile_streams("Varmail", 4096, 400, seed=9)
+        b = profile_streams("Varmail", 4096, 400, seed=9)
         assert a == b
 
     def test_build_workload_seed_sensitivity(self):
-        a = build_workload("Varmail", 4096, 400, seed=1)
-        b = build_workload("Varmail", 4096, 400, seed=2)
+        a = profile_streams("Varmail", 4096, 400, seed=1)
+        b = profile_streams("Varmail", 4096, 400, seed=2)
         assert a != b
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            build_workload("bogus", 4096, 100)
+            ProfileScenario("bogus", 4096, 100)
         with pytest.raises(ValueError):
-            build_workload("OLTP", 4096, 0)
+            ProfileScenario("OLTP", 4096, 0)
 
     def test_workload_table_mentions_all(self):
         table = workload_table()
         for name in PROFILES:
             assert name in table
+
+
+class TestProfileScenario:
+    CUSTOM = WorkloadProfile(
+        name="custom", read_fraction=0.4, intensiveness="high",
+        streams=3, npages=2, burst_len=20, burst_idle=0.01, zipf_s=0.8,
+        reads_recent=True)
+
+    def test_spec_size_does_not_grow_with_ops(self):
+        small = json.dumps(ProfileScenario("Varmail", 19046, 200).spec())
+        large = json.dumps(ProfileScenario("Varmail", 19046, 24000).spec())
+        # only the op count's own digits differ
+        assert len(large) - len(small) == len("24000") - len("200")
+        assert len(large) < 2048
+
+    def test_custom_profile_spec_round_trip(self):
+        scenario = ProfileScenario(self.CUSTOM, 777, 300, seeds=(5, 6, 7))
+        wire = json.loads(json.dumps(scenario.spec()))
+        clone = scenario_from_spec(wire)
+        assert clone.profile == self.CUSTOM
+        assert clone.seeds == (5, 6, 7)
+        assert clone.fingerprint() == scenario.fingerprint()
+        assert clone.footprint == scenario.footprint
+
+    def test_spec_resolves_in_a_fresh_interpreter(self):
+        # A pool worker may resolve a spec before anything imported
+        # the workloads package.
+        scenario = ProfileScenario(self.CUSTOM, 777, 300, seed=4)
+        code = (
+            "import json, sys\n"
+            "from repro.scenarios.base import scenario_from_spec\n"
+            "spec = json.loads(sys.stdin.read())\n"
+            "print(scenario_from_spec(spec).fingerprint())\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps(scenario.spec()),
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == scenario.fingerprint()
+
+    def test_ops_carry_their_stream_index(self):
+        scenario = ProfileScenario("OLTP", 4096, 160, seed=1)
+        for index, stream in enumerate(scenario.op_streams()):
+            ops = list(stream)
+            assert ops and all(op.stream == index for op in ops)
+            assert all(op.tenant is None and op.phase == "" for op in ops)
+        streams = profile_streams("OLTP", 4096, 160, seed=1)
+        assert [op.stream for op in scenario.ops()][:16] == list(range(16))
+        assert sum(len(s) for s in streams) == scenario.total_ops
+
+    def test_footprint_is_the_touched_span(self):
+        scenario = ProfileScenario(self.CUSTOM, 777, 300, seed=2)
+        touched = max(op.lpn + op.npages for op in scenario.ops())
+        assert scenario.footprint == touched <= 777
+        assert "footprint" not in scenario.spec()
+
+    def test_seed_count_must_match_streams(self):
+        with pytest.raises(ValueError, match="seeds"):
+            ProfileScenario("OLTP", 4096, 100, seeds=(1, 2))
 
 
 class TestTraceIo:
