@@ -55,7 +55,6 @@ Typical use::
 
 from __future__ import annotations
 
-import gc
 import json
 from bisect import bisect_right
 from math import inf
@@ -167,7 +166,6 @@ class Tracer:
         self._prior_ring: Optional["Tracer"] = None
         self._saved_hook: Optional[object] = None
         self._had_saved_hook = False
-        self._saved_gc_threshold: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # install / detach
@@ -208,15 +206,6 @@ class Tracer:
         self._installed = True
         self._controller = controller
         self._sim = controller.sim
-        # While armed, relax the cyclic collector.  Capture allocates
-        # one transient tracked tuple per record and grows the flat
-        # buffers to hundreds of thousands of scalars that generation-2
-        # collections re-traverse for zero reclaim (everything retained
-        # is acyclic, freed by refcount).  Measured on fig8_write:
-        # default thresholds roughly double the tracing overhead.
-        # detach() restores the exact prior thresholds.
-        self._saved_gc_threshold = gc.get_threshold()
-        gc.set_threshold(200_000, 50, 25)
         ftl = controller.ftl
         self.profiler = PhaseProfiler(controller.sim)
 
@@ -284,9 +273,6 @@ class Tracer:
             prior.dropped_ops = self.dropped_ops
             self._op_raw = list(self._op_raw)
             self._prior_ring = None
-        if self._saved_gc_threshold is not None:
-            gc.set_threshold(*self._saved_gc_threshold)
-            self._saved_gc_threshold = None
         self._installed = False
         self._controller = None
 

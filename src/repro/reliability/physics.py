@@ -43,6 +43,18 @@ from repro.reliability.interference import aggressor_counts
 from repro.reliability.vth import MlcVthModel
 
 
+def _is_finite_number(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _reject_unknown_keys(cls: type, data: dict) -> None:
+    known = {field.name for field in dataclasses.fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class PhysicsConfig:
     """Configuration of the runtime error engine.
@@ -90,6 +102,20 @@ class PhysicsConfig:
     ecc: EccConfig = dataclasses.field(default_factory=EccConfig)
 
     def __post_init__(self) -> None:
+        for name in ("seed", "pe_baseline", "disturb_quantum",
+                     "ecc_escalated_bits", "ecc_escalation_reads"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("retention_baseline_hours", "retention_hours_per_second",
+                     "retention_quantum_hours"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
+        for shift in self.retry_shifts:
+            if not _is_finite_number(shift):
+                raise ValueError(f"retry_shifts must be finite numbers, "
+                                 f"got {shift!r}")
         if self.pe_baseline < 0:
             raise ValueError("pe_baseline must be non-negative")
         if self.retention_baseline_hours < 0:
@@ -117,12 +143,18 @@ class PhysicsConfig:
     def from_dict(cls, data: dict) -> "PhysicsConfig":
         """Reconstruct a config serialized by :meth:`to_dict`."""
         kwargs = dict(data)
-        kwargs["retry_shifts"] = tuple(kwargs.get("retry_shifts", ()))
+        _reject_unknown_keys(cls, kwargs)
+        shifts = kwargs.get("retry_shifts", ())
+        if not isinstance(shifts, (list, tuple)):
+            raise ValueError(f"retry_shifts must be a list of numbers, "
+                             f"got {shifts!r}")
+        kwargs["retry_shifts"] = tuple(shifts)
         for key, factory in (("model", MlcVthModel), ("stress", StressModel),
                              ("ecc", EccConfig)):
             value = kwargs.get(key)
             if isinstance(value, dict):
                 nested = dict(value)
+                _reject_unknown_keys(factory, nested)
                 for tup in ("state_centers", "read_refs", "width_quantiles"):
                     if tup in nested:
                         nested[tup] = tuple(nested[tup])
@@ -158,13 +190,18 @@ class ReadOutcome:
 
 
 class _BlockState:
-    """Per-(chip, block) program-order and read bookkeeping."""
+    """Per-(chip, block) program-order and read bookkeeping.
 
-    __slots__ = ("msb", "agg", "prog_time", "prog_reads", "reads")
+    ``agg`` holds a key exactly for each word line whose MSB page is
+    programmed (its finalised state), so ``wl in agg`` is the
+    finalised test.  ``prog_time`` is only filled while the retention
+    clock runs; with it frozen every page has the same age.
+    """
+
+    __slots__ = ("agg", "prog_time", "prog_reads", "reads")
 
     def __init__(self) -> None:
-        self.msb: set = set()               # word lines with MSB programmed
-        self.agg: Dict[int, int] = {}       # word line -> aggressor count
+        self.agg: Dict[int, int] = {}       # finalised WL -> aggressors
         self.prog_time: Dict[int, float] = {}   # page -> program sim-time
         self.prog_reads: Dict[int, int] = {}    # page -> block reads then
         self.reads = 0                      # block reads since erase
@@ -181,14 +218,24 @@ class PhysicsEngine:
 
     def __init__(self, config: Optional[PhysicsConfig] = None) -> None:
         self.config = config or PhysicsConfig()
-        self._rng = random.Random(self.config.seed)
+        cfg = self.config
+        self._rng = random.Random(cfg.seed)
         self._array = None
         self._page_size = 4096
-        self._blocks: Dict[Tuple[int, int], _BlockState] = {}
+        # Keyed by one int per block, ``(chip_id << 32) | block_id``.
+        self._blocks: Dict[int, _BlockState] = {}
         self._memo: Dict[tuple, Tuple[float, float]] = {}
+        # Rung-0 (unshifted, hard-decision) reads keyed by
+        # (aggr, pe, age_q, dist_q, page & 1, finalized).
+        self._clean: Dict[tuple, Tuple[float, float]] = {}
+        self._clock_running = cfg.retention_hours_per_second > 0.0
+        q = cfg.retention_quantum_hours
+        # The quantised retention age of every read while the clock is
+        # frozen.
+        self._frozen_age_q = math.floor(cfg.retention_baseline_hours / q) * q
         self._ecc_escalated = EccConfig(
-            codeword_bytes=self.config.ecc.codeword_bytes,
-            correctable_bits=self.config.ecc_escalated_bits,
+            codeword_bytes=cfg.ecc.codeword_bytes,
+            correctable_bits=cfg.ecc_escalated_bits,
         )
         # Summary counters (updated in deterministic completion order).
         self.reads_sampled = 0
@@ -221,41 +268,38 @@ class PhysicsEngine:
         """
         if self._array is None:
             raise RuntimeError("bind() the engine to an array first")
+        note_program = self.note_program
         for chip_id, chip in enumerate(self._array.chips):
             for block_id, blk in enumerate(chip.blocks):
-                if not blk.program_history:
-                    continue
                 for page in blk.program_history:
-                    self.note_program(chip_id, block_id, page, now)
+                    note_program(chip_id, block_id, page, now)
 
     # ------------------------------------------------------------------
     # bookkeeping hooks (called by the controller on op completion)
 
-    def _block_state(self, chip_id: int, block_id: int) -> _BlockState:
-        key = (chip_id, block_id)
-        st = self._blocks.get(key)
-        if st is None:
-            st = self._blocks[key] = _BlockState()
-        return st
-
     def note_program(self, chip_id: int, block_id: int, page: int,
                      now: float) -> None:
         """Record a page program: aggressor counts + retention clock."""
-        st = self._block_state(chip_id, block_id)
+        key = (chip_id << 32) | block_id
+        st = self._blocks.get(key)
+        if st is None:
+            st = self._blocks[key] = _BlockState()
+        agg = st.agg
         wl = page >> 1
         # This program is an aggressor for any finalised neighbour.
-        for nb in (wl - 1, wl + 1):
-            if nb in st.msb:
-                st.agg[nb] = st.agg.get(nb, 0) + 1
+        if wl - 1 in agg:
+            agg[wl - 1] += 1
+        if wl + 1 in agg:
+            agg[wl + 1] += 1
         if page & 1:
-            st.msb.add(wl)
-            st.agg.setdefault(wl, 0)
-        st.prog_time[page] = now
+            agg.setdefault(wl, 0)
+        if self._clock_running:
+            st.prog_time[page] = now
         st.prog_reads[page] = st.reads
 
     def note_erase(self, chip_id: int, block_id: int) -> None:
         """Reset a block's physics state on erase."""
-        self._blocks.pop((chip_id, block_id), None)
+        self._blocks.pop((chip_id << 32) | block_id, None)
 
     # ------------------------------------------------------------------
     # read sampling
@@ -271,44 +315,62 @@ class PhysicsEngine:
         the RNG stream host-only makes outcomes independent of GC
         scheduling details.
         """
-        st = self._block_state(chip_id, block_id)
-        disturbs = st.reads - st.prog_reads.get(page, st.reads)
-        st.reads += 1
+        key = (chip_id << 32) | block_id
+        st = self._blocks.get(key)
+        if st is None:
+            st = self._blocks[key] = _BlockState()
+        reads = st.reads
+        disturbs = reads - st.prog_reads.get(page, reads)
+        st.reads = reads + 1
         if not sample:
             return None
-        return self._sample(st, chip_id, block_id, page, now, disturbs)
 
-    def _sample(self, st: _BlockState, chip_id: int, block_id: int,
-                page: int, now: float, disturbs: int) -> ReadOutcome:
         cfg = self.config
         wl = page >> 1
-        finalized = (wl in st.msb)
+        agg = st.agg
         # Aggressor coupling is defined relative to the final (MSB-
         # programmed) state; unfinalised LSB pages read binary with
         # SLC-like margins instead.
-        aggr = st.agg.get(wl, 0) if finalized else 0
+        finalized = wl in agg
+        aggr = agg[wl] if finalized else 0
         blk = self._array.chips[chip_id].blocks[block_id]
         pe = cfg.pe_baseline + blk.erase_count
-        age = cfg.retention_baseline_hours
-        prog_t = st.prog_time.get(page)
-        if prog_t is not None and cfg.retention_hours_per_second > 0.0:
-            age += (now - prog_t) * cfg.retention_hours_per_second
-        q = cfg.retention_quantum_hours
-        age_q = math.floor(age / q) * q
-        dist_q = (disturbs // cfg.disturb_quantum) * cfg.disturb_quantum
-        kind = "msb" if page & 1 else "lsb"
+        if self._clock_running:
+            age = cfg.retention_baseline_hours
+            prog_t = st.prog_time.get(page)
+            if prog_t is not None:
+                age += (now - prog_t) * cfg.retention_hours_per_second
+            q = cfg.retention_quantum_hours
+            age_q = math.floor(age / q) * q
+        else:
+            age_q = self._frozen_age_q
+        quantum = cfg.disturb_quantum
+        dist_q = (disturbs // quantum) * quantum
+        msb = page & 1
 
-        ber, pfail = self._probabilities(aggr, pe, age_q, dist_q, kind,
-                                         finalized, 0.0, False)
+        clean_key = (aggr, pe, age_q, dist_q, msb, finalized)
+        probs = self._clean.get(clean_key)
+        if probs is None:
+            probs = self._clean[clean_key] = self._probabilities(
+                aggr, pe, age_q, dist_q, "msb" if msb else "lsb",
+                finalized, 0.0, False)
+        ber, pfail = probs
         self.reads_sampled += 1
         self.ber_sum += ber
         if ber > self.max_ber:
             self.max_ber = ber
-        outcome = ReadOutcome(ber=ber, probability=pfail, best_ber=ber)
         if self._rng.random() >= pfail:
-            return outcome
+            return ReadOutcome(ber, pfail, False, 0, None, False, False,
+                               ber)
+        return self._retry_ladder(ber, pfail, aggr, pe, age_q, dist_q,
+                                  "msb" if msb else "lsb", finalized)
 
-        outcome.error = True
+    def _retry_ladder(self, ber: float, pfail: float, aggr: int, pe: int,
+                      age_q: float, dist_q: int, kind: str,
+                      finalized: bool) -> ReadOutcome:
+        """Walk the voltage-shift ladder after a failed rung-0 read."""
+        cfg = self.config
+        outcome = ReadOutcome(ber, pfail, True, 0, None, False, False, ber)
         self.read_errors += 1
         if self.first_error_read is None:
             self.first_error_read = self.reads_sampled
@@ -378,10 +440,10 @@ class PhysicsEngine:
 
     def block_aggressors(self, chip_id: int, block_id: int) -> Dict[int, int]:
         """Per-word-line aggressor counts of a block (finalised WLs only)."""
-        st = self._blocks.get((chip_id, block_id))
+        st = self._blocks.get((chip_id << 32) | block_id)
         if st is None:
             return {}
-        return {wl: st.agg.get(wl, 0) for wl in sorted(st.msb)}
+        return dict(sorted(st.agg.items()))
 
     def mean_ber(self) -> float:
         """Mean rung-0 BER over all sampled reads."""

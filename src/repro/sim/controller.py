@@ -290,8 +290,7 @@ class StorageController:
                 # controller RAM, so the read is served from there.
                 self._complete_read_page(request)
                 continue
-            return (FlashOp(OpKind.READ, addr, tag="host", lpn=lpn),
-                    request)
+            return FlashOp(_READ, addr, "host", lpn), request
         return None, None
 
     def _execute(self, chip_id: int, op: FlashOp,

@@ -237,8 +237,9 @@ class TestOnePipeline:
         assert set(result.tenants) == set(fleet_view["tenants"])
 
     def test_failed_run_detaches_its_tracer(self, monkeypatch):
-        """A run that raises still restores the controller and the GC
-        thresholds the tracer relaxed, so the tracer can be reused."""
+        """A run that raises still detaches the tracer from the
+        controller, so the tracer can be reused, and leaves the GC
+        thresholds as they were."""
         from repro.experiments import runner
 
         def broken_warmup(*args, **kwargs):

@@ -208,3 +208,33 @@ class TestObservabilityWiring:
         assert all(event.kind not in (ev.RELIABILITY_READ_ERROR,
                                       ev.RELIABILITY_RETRY_SHIFT)
                    for event in tracer.events())
+
+
+@pytest.mark.parametrize("data, match", [
+    ({"retry_shifts": "abc"}, "retry_shifts"),
+    ({"retry_shifts": [0.04, "x"]}, "retry_shifts"),
+    ({"retry_shifts": [float("nan")]}, "retry_shifts"),
+    ({"disturb_quantum": 0.5}, "disturb_quantum"),
+    ({"disturb_quantum": True}, "disturb_quantum"),
+    ({"pe_baseline": "6000"}, "pe_baseline"),
+    ({"ecc_escalation_reads": 1.5}, "ecc_escalation_reads"),
+    ({"retention_quantum_hours": float("nan")}, "retention_quantum_hours"),
+    ({"retention_baseline_hours": float("inf")},
+     "retention_baseline_hours"),
+    ({"retention_hours_per_second": "fast"}, "retention_hours_per_second"),
+    ({"retention_baseline_hours": -1.0}, "retention_baseline_hours"),
+    ({"bogus": 1}, "'bogus'"),
+    ({"ecc": {"correctable_bits": 40, "typo": 1}}, "'typo'"),
+])
+def test_malformed_physics_config_raises_value_error(data, match):
+    """Every malformed field is a ValueError at the config boundary,
+    never a coerced value or a bare TypeError from the constructor."""
+    with pytest.raises(ValueError, match=match):
+        PhysicsConfig.from_dict(data)
+
+
+def test_physics_config_roundtrip_still_accepts_ints_for_hours():
+    config = PhysicsConfig(seed=7, pe_baseline=3000,
+                           retention_baseline_hours=8760,
+                           retry_shifts=(-1, 0.5))
+    assert PhysicsConfig.from_dict(config.to_dict()) == config

@@ -201,13 +201,14 @@ def _check_live_run_aggressors(kernel="calendar"):
     assert blocks_checked > 0
 
 
-def _physics_run(kernel):
+def _physics_run(kernel, retention_hours_per_second=0.0):
     config = ExperimentConfig(geometry=GEOMETRY, track_history=True,
                               kernel=kernel)
     span = experiment_span(config, utilization=0.6, ftls=["flexFTL"])
     scenario = make_preset("hot_rewrite", span, 400, seed=11)
-    physics = PhysicsConfig(seed=5, pe_baseline=6000,
-                            retention_baseline_hours=8760.0)
+    physics = PhysicsConfig(
+        seed=5, pe_baseline=6000, retention_baseline_hours=8760.0,
+        retention_hours_per_second=retention_hours_per_second)
     data = run_workload(ftl_name="flexFTL", scenario=scenario,
                         physics=physics, config=config).to_dict()
     # The pinned digest below predates the physics section of
@@ -235,6 +236,29 @@ def test_physics_run_pinned_on_each_core(op_core, kernel):
     """The armed run is byte-identical on both op paths and kernels."""
     digest = hashlib.sha256(_physics_run(kernel).encode()).hexdigest()
     assert digest == PHYSICS_RUN_SHA256
+
+
+#: Time acceleration of the running-clock pin: the measured phase
+#: spans about 29 simulated milliseconds, so a page ages by up to about
+#: 29,000 hours between program and read and the quantised retention
+#: age varies per read.
+RUNNING_CLOCK_HOURS_PER_SECOND = 1e6
+
+#: sha256 of the same armed run with the retention clock running
+#: (``retention_hours_per_second > 0``), the branch where every page's
+#: program time feeds its read's retention age.
+PHYSICS_RUNNING_CLOCK_SHA256 = ("6f69a01468b27058f09ad29efc41c6a8"
+                                "4ac67e7256870c76a305c608c25db1ca")
+
+
+@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+def test_physics_running_clock_pinned_on_each_core(op_core, kernel):
+    """The running-clock run is byte-identical on both op paths and
+    kernels, and differs from the frozen-clock run."""
+    text = _physics_run(kernel, RUNNING_CLOCK_HOURS_PER_SECOND)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest != PHYSICS_RUN_SHA256
+    assert digest == PHYSICS_RUNNING_CLOCK_SHA256
 
 
 def test_physics_result_roundtrip():
