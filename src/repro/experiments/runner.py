@@ -490,7 +490,8 @@ def prepare_measured_run(
         host: Any = MultiTenantHost(
             sim, controller, tenant_specs,
             arbiter=arbiter or "fifo", max_outstanding=max_outstanding,
-            max_pending_admissions=max_pending_admissions)
+            max_pending_admissions=max_pending_admissions,
+            scenario=workload)
         if tracing:
             tracer.attach_qos(host)
     else:
@@ -629,8 +630,8 @@ def run_workload(
             tracer.finish()
             run.stats.metrics = tracer.metrics
     finally:
-        # also after a failed run: an installed tracer holds the
-        # process-wide GC thresholds it relaxed
+        # also after a failed run: an installed tracer still holds
+        # the controller's and the FTL's hooks, which detach() restores
         if tracer is not None:
             tracer.detach()
 

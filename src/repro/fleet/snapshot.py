@@ -53,8 +53,10 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: longer records a chip-dispatch mode.  Format 3: one host class per
 #: delivery mode and one op record, all in :mod:`repro.sim.host`;
 #: format-2 pickles reference the deleted scenario-package hosts and
-#: op record.
-SNAPSHOT_FORMAT_VERSION = 3
+#: op record.  Format 4: the multi-tenant host runs on the closed-loop
+#: host's streams and snapshots by scenario spec; format-3 pickles
+#: reference its deleted completion callback.
+SNAPSHOT_FORMAT_VERSION = 4
 
 _LEN = struct.Struct(">I")
 

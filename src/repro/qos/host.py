@@ -24,16 +24,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.qos.arbiter import Arbiter, make_arbiter
 from repro.qos.queues import SubmissionQueue
 from repro.qos.slo import SloAccountant, SloTarget
 from repro.qos.throttle import AdmissionGate, TokenBucket
 from repro.sim.controller import StorageController
-from repro.sim.host import StreamOp
+from repro.sim.host import ClosedLoopHost, StreamCompletion, StreamOp
 from repro.sim.kernel import Simulator
 from repro.sim.queues import Request
+
+if TYPE_CHECKING:
+    from repro.scenarios.base import Scenario
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,8 +47,8 @@ class TenantSpec:
         name: tenant id (stamped on every request it issues).
         streams: closed-loop worker streams, same shape the
             single-tenant :class:`~repro.sim.host.ClosedLoopHost`
-            takes — any existing synthetic/zipf/benchmark generator
-            output plugs in directly.
+            takes: op tuples (see :meth:`make`) or lazy iterators
+            (see :func:`tenant_specs_from_scenario`).
         weight: arbitration weight (used by ``wrr``/``drr``).
         rate_pages_per_sec: optional token-bucket rate contract.
         burst_pages: token-bucket capacity; defaults to one second's
@@ -57,7 +60,7 @@ class TenantSpec:
     """
 
     name: str
-    streams: Tuple[Tuple[StreamOp, ...], ...]
+    streams: Tuple[Iterable[StreamOp], ...]
     weight: float = 1.0
     rate_pages_per_sec: Optional[float] = None
     burst_pages: Optional[float] = None
@@ -75,7 +78,7 @@ class TenantSpec:
 
     @property
     def total_ops(self) -> int:
-        """Operations across all of this tenant's streams."""
+        """Operations across all of this tenant's (op-tuple) streams."""
         return sum(len(stream) for stream in self.streams)
 
     def slo_target(self) -> SloTarget:
@@ -85,63 +88,48 @@ class TenantSpec:
 
 
 def tenant_specs_from_scenario(scenario) -> List[TenantSpec]:
-    """Materialize a tenant-tagged scenario into tenant specs.
+    """Tenant specs over a scenario's lazy closed-loop streams.
 
-    Every op must carry a tenant tag (e.g. a
-    :class:`~repro.scenarios.generator.WorkloadScenario` with tenant
-    bindings); binding contracts — weight, rate, SLOs — carry over.
-    A :class:`TenantSpec` holds streams as tuples, so this view
-    necessarily materializes the scenario.
+    Each :class:`~repro.scenarios.base.TenantBinding` takes the next
+    ``binding.streams`` iterators of :meth:`op_streams`, in binding
+    order, and carries its contract (weight, rate, SLOs) across.
+    Nothing is materialized: the specs hold live iterators.  Raises
+    ``ValueError`` when the scenario declares no bindings or the
+    bindings do not cover its streams exactly.
     """
-    grouped = scenario.tenant_streams()
-    bindings = {binding.name: binding
-                for binding in scenario.tenant_bindings()}
-    if not grouped:
+    bindings = scenario.tenant_bindings()
+    if not bindings:
         raise ValueError(
             f"scenario {scenario.name!r} declares no tenants; a "
-            f"multi-tenant run needs tenant bindings or tagged ops")
+            f"multi-tenant run needs tenant bindings")
+    streams = scenario.op_streams()
+    declared = sum(binding.streams for binding in bindings)
+    if declared != len(streams):
+        raise ValueError(
+            f"scenario {scenario.name!r}: tenant bindings declare "
+            f"{declared} streams, scenario has {len(streams)}")
     specs: List[TenantSpec] = []
-    for name, streams in grouped.items():
-        binding = bindings.get(name)
-        if binding is None:
-            specs.append(TenantSpec.make(name, streams))
-        else:
-            specs.append(TenantSpec.make(
-                name, streams, weight=binding.weight,
-                rate_pages_per_sec=binding.rate_pages_per_sec,
-                read_slo=binding.read_slo,
-                write_slo=binding.write_slo))
+    first = 0
+    for binding in bindings:
+        specs.append(TenantSpec(
+            name=binding.name,
+            streams=tuple(streams[first:first + binding.streams]),
+            weight=binding.weight,
+            rate_pages_per_sec=binding.rate_pages_per_sec,
+            read_slo=binding.read_slo,
+            write_slo=binding.write_slo))
+        first += binding.streams
     return specs
 
 
-class TenantCompletion:
-    """Completion callback advancing one tenant stream.
-
-    A plain class (not a lambda) so a host mid-run — callbacks on
-    in-flight requests included — pickles into a fleet snapshot.
-    """
-
-    __slots__ = ("host", "tenant", "stream", "think")
-
-    def __init__(self, host: "MultiTenantHost", tenant: int,
-                 stream: int, think: float) -> None:
-        self.host = host
-        self.tenant = tenant
-        self.stream = stream
-        self.think = think
-
-    def __call__(self, _req, _now) -> None:
-        self.host._on_done(self.tenant, self.stream, self.think)
-
-    def __getstate__(self):
-        return (self.host, self.tenant, self.stream, self.think)
-
-    def __setstate__(self, state) -> None:
-        self.host, self.tenant, self.stream, self.think = state
-
-
-class MultiTenantHost:
+class MultiTenantHost(ClosedLoopHost):
     """Multiplexes per-tenant closed-loop workloads through QoS queues.
+
+    The tenants' streams run on :class:`~repro.sim.host.ClosedLoopHost`'s
+    loop, concatenated in tenant order; only issue (into the tenant's
+    submission queue instead of the controller) and completion (which
+    also frees a gate slot and re-arms dispatch) differ.  ``issued``
+    counts commands dispatched to the controller.
 
     A :class:`~repro.observability.tracer.Tracer` attached via
     ``attach_qos`` plants ``_trace`` (class default ``None``) to record
@@ -161,6 +149,9 @@ class MultiTenantHost:
             controller's write-admission backlog.
         accountant: SLO accountant to record into; one is created
             (with the specs' targets) when omitted.
+        scenario: the scenario the tenants' streams came from (see
+            :func:`tenant_specs_from_scenario`); makes the host
+            snapshot-capable exactly as for ``ClosedLoopHost``.
     """
 
     def __init__(
@@ -172,15 +163,24 @@ class MultiTenantHost:
         max_outstanding: Optional[int] = 8,
         max_pending_admissions: Optional[int] = None,
         accountant: Optional[SloAccountant] = None,
+        scenario: Optional["Scenario"] = None,
     ) -> None:
         if not tenants:
             raise ValueError("MultiTenantHost needs at least one tenant")
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names!r}")
-        self.sim = sim
-        self.controller = controller
-        self.tenants = list(tenants)
+        super().__init__(
+            sim, controller,
+            [stream for spec in tenants for stream in spec.streams],
+            scenario=scenario)
+        #: tenant index of each stream
+        self._tenant_of: List[int] = [
+            t_index for t_index, spec in enumerate(tenants)
+            for _ in spec.streams]
+        #: the contracts; the streams live in the inherited loop
+        self.tenants = [dataclasses.replace(spec, streams=())
+                        for spec in tenants]
         if isinstance(arbiter, str):
             arbiter = make_arbiter(
                 arbiter, names, [spec.weight for spec in tenants])
@@ -204,15 +204,11 @@ class MultiTenantHost:
                     burst = spec.rate_pages_per_sec
                 self.buckets.append(
                     TokenBucket(spec.rate_pages_per_sec, burst))
-        #: per-tenant per-stream cursors into the stream op lists.
-        self._cursor: List[List[int]] = [
-            [0] * len(spec.streams) for spec in tenants]
         #: whether each submission queue holds a command, kept current
         #: by every push and pop; without rate contracts this is the
         #: arbiter's eligibility list itself
         self._ready: List[bool] = [False] * len(self.queues)
         self._metered = any(bucket is not None for bucket in self.buckets)
-        self._issued = 0
         self._seq = 0
         self._pumping = False
         #: firing time of the earliest scheduled throttle wake-up, or
@@ -232,59 +228,45 @@ class MultiTenantHost:
             raise RuntimeError("MultiTenantHost.start called twice")
         self._started = True
         self.accountant.attach(self.controller)
-        for t_index, spec in enumerate(self.tenants):
-            for s_index, stream in enumerate(spec.streams):
-                if stream:
-                    self.sim.schedule(0.0, self._enqueue, t_index,
-                                      s_index)
+        super().start()
 
-    @property
-    def remaining(self) -> int:
-        """Operations not yet enqueued across all tenants."""
-        return sum(
-            len(stream) - self._cursor[t_index][s_index]
-            for t_index, spec in enumerate(self.tenants)
-            for s_index, stream in enumerate(spec.streams)
-        )
+    def resume(self) -> int:
+        """Refused: a power cut would strand commands in the queues
+        and the gate's in-flight count, which a stream re-issue does
+        not repair."""
+        raise RuntimeError(
+            "MultiTenantHost cannot resume after a power cut")
 
     @property
     def queued(self) -> int:
         """Commands sitting in submission queues right now."""
         return sum(len(queue) for queue in self.queues)
 
-    @property
-    def issued(self) -> int:
-        """Commands dispatched to the controller so far."""
-        return self._issued
-
     # ------------------------------------------------------------------
-    # enqueue side (per-stream closed loops)
+    # enqueue side (the inherited per-stream closed loops)
 
-    def _enqueue(self, t_index: int, s_index: int) -> None:
-        spec = self.tenants[t_index]
-        op = spec.streams[s_index][self._cursor[t_index][s_index]]
+    def _issue(self, index: int) -> None:
+        op = self._current[index]
+        assert op is not None
+        t_index = self._tenant_of[index]
+        queue = self.queues[t_index]
         now = self.sim.now
         request = Request(now, op.kind, op.lpn, op.npages,
-                          tenant=spec.name)
-        request.on_complete = TenantCompletion(self, t_index, s_index,
+                          tenant=queue.tenant)
+        request.on_complete = StreamCompletion(self, index,
                                                op.think_after)
-        queue = self.queues[t_index]
         queue.push(request, self._seq, now)
         self._seq += 1
         self._ready[t_index] = True
         trace = self._trace
         if trace is not None:
-            trace.qos_admit(t_index, now, spec.name, op.kind.value,
+            trace.qos_admit(t_index, now, queue.tenant, op.kind.value,
                             op.lpn, op.npages, len(queue))
         self._pump()
 
-    def _on_done(self, t_index: int, s_index: int,
-                 think: float) -> None:
+    def _advance(self, index: int, think: float) -> None:
         self.gate.note_complete()
-        cursor = self._cursor[t_index]
-        cursor[s_index] += 1
-        if cursor[s_index] < len(self.tenants[t_index].streams[s_index]):
-            self.sim.schedule(think, self._enqueue, t_index, s_index)
+        super()._advance(index, think)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -320,7 +302,7 @@ class MultiTenantHost:
                 queue = queues[index]
                 if trace is not None:
                     trace.qos_arbitrate(index, now, queue.tenant,
-                                        len(queue), self._issued)
+                                        len(queue), self.issued)
                 command = queue.pop(now)
                 if queue.is_empty:
                     ready[index] = False
@@ -329,7 +311,7 @@ class MultiTenantHost:
                 if bucket is not None:
                     bucket.consume(command.request.npages, now)
                 gate.note_dispatch()
-                self._issued += 1
+                self.issued += 1
                 self.controller.submit(command.request)
                 if not gate.can_admit():
                     return

@@ -75,7 +75,7 @@ class TenantBinding:
 
     Mirrors the contract fields of
     :class:`~repro.qos.host.TenantSpec`; the QoS runner copies them
-    across when it materializes tenant specs from a scenario.
+    across when it builds tenant specs over a scenario's streams.
     """
 
     name: str
@@ -174,28 +174,6 @@ class Scenario:
         raise NotImplementedError
 
     # -- derived helpers -----------------------------------------------
-
-    def tenant_streams(self) -> Dict[str, List[List[StreamOp]]]:
-        """Materialized per-tenant closed-loop streams.
-
-        Groups :meth:`ops` by ``(tenant, stream)``; tenants appear in
-        binding order when bindings exist, else in first-seen order.
-        This view *does* materialize (QoS tenant specs are tuples by
-        design); bounded-memory delivery is the single-host path.
-        """
-        grouped: Dict[str, Dict[int, List[StreamOp]]] = {}
-        for binding in self.tenant_bindings():
-            grouped[binding.name] = {}
-        for op in self.ops():
-            if op.tenant is None:
-                raise ValueError(
-                    f"scenario {self.name!r} has untagged ops; "
-                    f"a multi-tenant run needs every op to carry a "
-                    f"tenant")
-            streams = grouped.setdefault(op.tenant, {})
-            streams.setdefault(op.stream, []).append(op)
-        return {tenant: [streams[index] for index in sorted(streams)]
-                for tenant, streams in grouped.items()}
 
     def fingerprint(self, limit: Optional[int] = None) -> str:
         """SHA-256 over the (first ``limit``) generated ops.

@@ -258,6 +258,13 @@ class TraceScenario(Scenario):
                                if "streams" in meta else None))
         self._tenants = tuple(
             TenantBinding.from_dict(b) for b in meta.get("tenants", ()))
+        if self._tenants and "streams" in meta:
+            declared = sum(binding.streams for binding in self._tenants)
+            if declared != int(meta["streams"]):
+                raise ValueError(
+                    f"{self.path}: #meta tenant bindings declare "
+                    f"{declared} streams, the trace has "
+                    f"{int(meta['streams'])}")
 
     @property
     def footprint(self) -> Optional[int]:

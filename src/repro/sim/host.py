@@ -204,10 +204,9 @@ class ClosedLoopHost:
     know whether a stream is exhausted); everything else stays inside
     the stream iterators.
 
-    ``tenant`` is the default tag for ops that carry none of their
-    own; an op's ``tenant`` field wins when set.  Tags feed per-tenant
-    accounting (:mod:`repro.qos.slo`); they change nothing about how
-    requests are scheduled.
+    An op's ``tenant`` tag becomes its request's tenant; tags feed
+    per-tenant accounting (:mod:`repro.qos.slo`) and change nothing
+    about how requests are scheduled.
 
     ``scenario`` (optional) is the scenario the streams came from.
     When given, the host is *snapshot-capable*: generator iterators
@@ -222,11 +221,9 @@ class ClosedLoopHost:
 
     def __init__(self, sim: Simulator, controller: StorageController,
                  streams: Iterable[Iterable[StreamOp]],
-                 tenant: Optional[str] = None,
                  scenario: Optional["Scenario"] = None) -> None:
         self.sim = sim
         self.controller = controller
-        self.tenant = tenant
         self._iters: List[Iterator[StreamOp]] = \
             [iter(stream) for stream in streams]
         self._current: List[Optional[StreamOp]] = \
@@ -255,8 +252,7 @@ class ClosedLoopHost:
                         prev=self._phase, stream=index)
             self._phase = op.phase
         request = Request(self.sim.now, op.kind, op.lpn, op.npages,
-                          tenant=op.tenant if op.tenant is not None
-                          else self.tenant)
+                          tenant=op.tenant)
         request.on_complete = StreamCompletion(self, index, op.think_after)
         self.controller.submit(request)
         self.issued += 1
@@ -290,9 +286,9 @@ class ClosedLoopHost:
     def __getstate__(self) -> Dict[str, Any]:
         if self.scenario_spec is None:
             raise TypeError(
-                "ClosedLoopHost holds live stream iterators and no "
-                "scenario spec to rebuild them from; construct it with "
-                "scenario= to make it snapshot-capable")
+                f"{type(self).__name__} holds live stream iterators and "
+                f"no scenario spec to rebuild them from; construct it "
+                f"with scenario= to make it snapshot-capable")
         state = self.__dict__.copy()
         del state["_iters"]
         return state

@@ -25,6 +25,7 @@ from repro.fleet.snapshot import (
     write_snapshot,
 )
 from repro.nand.geometry import NandGeometry
+from repro.qos.host import MultiTenantHost, TenantSpec
 from repro.scenarios.base import TenantBinding
 from repro.scenarios.presets import make_preset
 from repro.sim.host import ClosedLoopHost, TraceReplayHost
@@ -144,6 +145,19 @@ class TestDeviceRoundTrip:
                 == oracle.host.accountant.summary())
         assert resumed.result() == oracle.result()
 
+    def test_qos_device_snapshot_is_bounded(self):
+        """A tenant device snapshots its scenario spec and stream
+        positions, not its op list: ten times the ops, same size."""
+        import pickle
+
+        sizes = []
+        for ops in (2000, 20000):
+            run = DeviceRun.build(spec_for(tenants=2, ops=ops))
+            run.advance(500)
+            assert not run.done
+            sizes.append(len(pickle.dumps(run)))
+        assert sizes[1] <= sizes[0] * 1.1, sizes
+
 
 class TestHeaderValidation:
     def test_kernel_mismatch_refused(self, tmp_path):
@@ -193,13 +207,14 @@ class TestHeaderValidation:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot_header(path)
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_old_format_refused_before_unpickling(self, tmp_path,
                                                   old_format):
         """Older payloads reference classes that no longer exist
         (format 1: controller internals; format 2: the separate
-        streaming hosts and their op record); the header check refuses
-        them with the typed format error, before the unpickler runs."""
+        streaming hosts and their op record; format 3: the multi-tenant
+        host's own completion callback); the header check refuses them
+        with the typed format error, before the unpickler runs."""
         run = DeviceRun.build(spec_for())
         run.advance(200)
         path = tmp_path / "dev.snap"
@@ -207,7 +222,8 @@ class TestHeaderValidation:
         rewrite_header(path, format_version=old_format, stepping="event")
         with pytest.raises(SnapshotFormatError,
                            match=f"uses snapshot format {old_format}; "
-                                 f"this build reads format 3"):
+                                 f"this build reads format "
+                                 f"{SNAPSHOT_FORMAT_VERSION}"):
             DeviceRun.load(path)
         with pytest.raises(SnapshotFormatError,
                            match=f"format {old_format}"):
@@ -344,6 +360,19 @@ class TestHostPicklability:
         trace = TraceReplayHost(sim, controller, [])
         with pytest.raises(TypeError, match="scenario="):
             pickle.dumps(trace)
+
+    def test_list_fed_tenant_host_refuses(self):
+        import pickle
+
+        sim, controller, scenario = self._system()
+        streams = [list(stream) for stream in scenario.op_streams()]
+        host = MultiTenantHost(sim, controller, [
+            TenantSpec.make("a", streams[:1]),
+            TenantSpec.make("b", streams[1:])])
+        host.start()
+        sim.run(max_events=40)
+        with pytest.raises(TypeError, match="MultiTenantHost.*scenario="):
+            pickle.dumps(host)
 
     def test_scenario_fed_host_round_trips(self):
         """Fed a scenario, the same class pickles mid-run and resumes

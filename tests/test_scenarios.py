@@ -43,7 +43,7 @@ from repro.scenarios import (
     scenario_from_spec,
     scenario_seed,
 )
-from repro.qos.host import TenantSpec
+from repro.qos.host import TenantSpec, tenant_specs_from_scenario
 from repro.sim.host import ClosedLoopHost
 from repro.sim.queues import RequestKind
 from repro.workloads.benchmarks import ProfileScenario
@@ -214,12 +214,15 @@ class TestGeneration:
             "qos", 256, 3, phases, seed=1,
             tenants=(TenantBinding("victim", 1),
                      TenantBinding("noisy", 2)))
-        grouped = scenario.tenant_streams()
-        assert set(grouped) == {"victim", "noisy"}
-        assert len(grouped["victim"]) == 1
-        assert len(grouped["noisy"]) == 2
-        total = sum(len(s) for streams in grouped.values()
-                    for s in streams)
+        specs = tenant_specs_from_scenario(scenario)
+        assert [spec.name for spec in specs] == ["victim", "noisy"]
+        assert [len(spec.streams) for spec in specs] == [1, 2]
+        total = 0
+        for spec in specs:
+            for stream in spec.streams:
+                for op in stream:
+                    assert op.tenant == spec.name
+                    total += 1
         assert total == 40
 
 

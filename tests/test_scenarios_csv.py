@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.qos.host import tenant_specs_from_scenario
 from repro.scenarios import (
     ScenarioCsvError,
     TraceScenario,
@@ -101,6 +102,54 @@ class TestMeta:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             TraceScenario(tmp_path / "nope.csv")
+
+
+def _edit_meta(path, **changes):
+    """Rewrite the #meta row of a CSV in place (None deletes a key)."""
+    meta = read_scenario_meta(path)
+    for key, value in changes.items():
+        if value is None:
+            meta.pop(key, None)
+        else:
+            meta[key] = value
+    lines = path.read_text().splitlines(keepends=True)
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerow(["#meta", json.dumps(meta)])
+        handle.writelines(lines[1:])
+
+
+class TestTenantCoverage:
+    """Bindings must cover a trace's streams exactly."""
+
+    def _tenanted(self, tmp_path):
+        phases = (Phase(name="s", ops=30, read_fraction=0.5),)
+        scenario = WorkloadScenario(
+            "qos", 128, 3, phases, seed=1,
+            tenants=(TenantBinding("victim", 1),
+                     TenantBinding("noisy", 2)))
+        path, _ = _export(tmp_path, scenario)
+        return path
+
+    def test_meta_bindings_must_sum_to_streams(self, tmp_path):
+        path = self._tenanted(tmp_path)
+        _edit_meta(path, tenants=[{"name": "victim", "streams": 1},
+                                  {"name": "noisy", "streams": 1}])
+        with pytest.raises(ValueError, match=f"{path}.*declare 2 "
+                                             f"streams.*has 3"):
+            TraceScenario(path)
+
+    def test_tenant_specs_need_exact_cover(self, tmp_path):
+        path = self._tenanted(tmp_path)
+        # Without a stream count in the meta row, the caller's override
+        # decides; bindings for 3 streams cannot cover 4.
+        _edit_meta(path, streams=None)
+        with pytest.raises(ValueError, match="declare 3 streams, "
+                                             "scenario has 4"):
+            tenant_specs_from_scenario(TraceScenario(path, streams=4))
+        specs = tenant_specs_from_scenario(TraceScenario(path, streams=3))
+        assert [len(spec.streams) for spec in specs] == [1, 2]
+        assert sum(1 for spec in specs for stream in spec.streams
+                   for _op in stream) == 30
 
 
 class TestMalformedRows:

@@ -241,8 +241,8 @@ class TestClosedLoopHost:
     def test_list_fed_ops_keep_tenant_and_phase_tags(self,
                                                       small_geometry):
         """A plain op list gets what a scenario gets: each op's own
-        tenant tag (the host's ``tenant`` is only the default) and a
-        ``scenario.phase`` event per phase change under a tracer."""
+        tenant tag (``None`` when untagged) and a ``scenario.phase``
+        event per phase change under a tracer."""
         sim, _, _, _, controller = build_small_system(
             PageFtl, small_geometry)
         tenants = []
@@ -254,10 +254,10 @@ class TestClosedLoopHost:
                StreamOp(RequestKind.READ, 0, 1, tenant="b",
                         phase="steady")]
         tracer = Tracer().install(controller)
-        host = ClosedLoopHost(sim, controller, [ops], tenant="default")
+        host = ClosedLoopHost(sim, controller, [ops])
         run_host(sim, controller, host)
         tracer.finish()
-        assert tenants == ["a", "default", "b"]
+        assert tenants == ["a", None, "b"]
         phases = [(event.fields["prev"], event.fields["name"])
                   for event in tracer.events()
                   if event.kind == SCENARIO_PHASE]
