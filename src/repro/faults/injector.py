@@ -13,8 +13,10 @@ plan's excursion interval, then walks the retry ladder the controller
 implements — does the re-read decode under the baseline code?  does
 the escalated (stronger/slow) decode clear it?  — leaving only the
 truly uncorrectable residue to parity reconstruction or data loss.
-The scipy-backed ECC math is imported lazily so plans without read
-faults never touch it.
+The ECC math is imported on the first read fault, and
+:mod:`repro.reliability.ecc` defers scipy to its first curve
+evaluation, so a plan without read faults never loads scipy
+(``tests/test_import_weight.py`` checks this in a fresh interpreter).
 """
 
 from __future__ import annotations

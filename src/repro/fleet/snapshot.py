@@ -55,8 +55,10 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: format-2 pickles reference the deleted scenario-package hosts and
 #: op record.  Format 4: the multi-tenant host runs on the closed-loop
 #: host's streams and snapshots by scenario spec; format-3 pickles
-#: reference its deleted completion callback.
-SNAPSHOT_FORMAT_VERSION = 4
+#: reference its deleted completion callback.  Format 5: submission
+#: queues keep running depth sums instead of a per-push/pop sample
+#: list; format-4 tenant pickles carry the list and no sums.
+SNAPSHOT_FORMAT_VERSION = 5
 
 _LEN = struct.Struct(">I")
 

@@ -587,8 +587,10 @@ def run_physics_overhead(
     sampling/bookkeeping cost alone — the history-tracking cost itself
     is covered by ``--full-history`` on the main benchmark.
     """
+    from repro.reliability.ecc import binom_sf
     from repro.reliability.physics import PhysicsConfig
 
+    binom_sf()  # import scipy before the first timed pair, not in it
     config = ExperimentConfig(track_history=True)
     span = bench_span(BENCH_FTL, config)
     run = {"config": config,

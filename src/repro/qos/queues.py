@@ -8,16 +8,16 @@ of* the controller — instead of letting it pile into the controller's
 FIFO admission queue — is what makes arbitration policy matter: once a
 request is submitted to the controller its service order is fixed.
 
-Queues record a queue-depth timeline (sampled on every push and pop)
-so per-tenant backlog behaviour can be reported next to latency
-percentiles (:mod:`repro.qos.slo`).
+Queues keep a running time-weighted queue depth (updated on every push
+and pop, in constant memory) so per-tenant backlog behaviour can be
+reported next to latency percentiles (:mod:`repro.qos.slo`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.sim.queues import Request
 
@@ -63,8 +63,15 @@ class SubmissionQueue:
         self.issued = 0
         self.max_depth_seen = 0
         self._fifo: Deque[QueuedCommand] = deque()
-        #: (time, depth) samples, one per push/pop, in time order.
-        self.depth_samples: List[Tuple[float, int]] = []
+        # Running depth statistics over the (time, depth) samples taken
+        # on every push and pop: sample count, first and last sample,
+        # the depth sum (zero-span fallback) and the time-weighted sum.
+        self._samples = 0
+        self._first_time = 0.0
+        self._last_time = 0.0
+        self._last_depth = 0
+        self._depth_sum = 0
+        self._weighted = 0.0
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -93,7 +100,7 @@ class SubmissionQueue:
         depth = len(self._fifo)
         if depth > self.max_depth_seen:
             self.max_depth_seen = depth
-        self.depth_samples.append((now, depth))
+        self._sample(now, depth)
         return command
 
     def pop(self, now: float) -> QueuedCommand:
@@ -103,24 +110,29 @@ class SubmissionQueue:
                 f"submission queue {self.tenant!r} is empty")
         command = self._fifo.popleft()
         self.issued += 1
-        self.depth_samples.append((now, len(self._fifo)))
+        self._sample(now, len(self._fifo))
         return command
+
+    def _sample(self, now: float, depth: int) -> None:
+        """Fold one (time, depth) sample into the running sums."""
+        if self._samples:
+            self._weighted += self._last_depth * (now - self._last_time)
+        else:
+            self._first_time = now
+        self._samples += 1
+        self._depth_sum += depth
+        self._last_time = now
+        self._last_depth = depth
 
     def mean_depth(self) -> float:
         """Time-weighted mean queue depth over the sampled interval.
 
         0.0 when fewer than two samples exist (no interval to weight).
         """
-        samples = self.depth_samples
-        if len(samples) < 2:
+        if self._samples < 2:
             return 0.0
-        first_time = samples[0][0]
-        last_time = samples[-1][0]
-        span = last_time - first_time
+        span = self._last_time - self._first_time
         if span <= 0.0:
             # All activity at one instant: fall back to a plain mean.
-            return sum(d for _, d in samples) / len(samples)
-        weighted = 0.0
-        for (t0, depth), (t1, _) in zip(samples, samples[1:]):
-            weighted += depth * (t1 - t0)
-        return weighted / span
+            return self._depth_sum / self._samples
+        return self._weighted / span

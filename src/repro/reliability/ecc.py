@@ -9,13 +9,30 @@ an *endurance* statement: the highest P/E cycle count at which the
 device still meets an uncorrectable-error target.  Used by
 :mod:`repro.experiments.endurance` to show that RPS preserves not just
 the raw BER but the usable lifetime.
+
+scipy is imported on the first call of :func:`binom_sf`, not with this
+module, so the CLI, the fleet service and every physics-free run
+import :mod:`repro` without it (``tests/test_import_weight.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Callable
 
-from scipy import stats
+
+@functools.cache
+def binom_sf() -> Callable[..., float]:
+    """``scipy.stats.binom.sf``, importing scipy on the first call.
+
+    The one binomial tail of the ECC model.  Cached, so the process
+    pays the import once; :class:`repro.reliability.physics.PhysicsEngine`
+    calls it at construction so the import lands in set-up, never in a
+    measured phase.
+    """
+    from scipy import stats
+    return stats.binom.sf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,8 +66,8 @@ def codeword_failure_probability(raw_ber: float,
         raise ValueError(f"raw_ber must be in [0, 1], got {raw_ber}")
     if raw_ber == 0.0:
         return 0.0
-    return float(stats.binom.sf(config.correctable_bits,
-                                config.codeword_bits, raw_ber))
+    return float(binom_sf()(config.correctable_bits,
+                            config.codeword_bits, raw_ber))
 
 
 def page_failure_probability(raw_ber: float, page_size: int = 4096,

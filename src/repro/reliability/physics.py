@@ -38,7 +38,11 @@ from repro.reliability.ber import (
     StressModel,
     expected_page_ber,
 )
-from repro.reliability.ecc import EccConfig, page_failure_probability
+from repro.reliability.ecc import (
+    EccConfig,
+    binom_sf,
+    page_failure_probability,
+)
 from repro.reliability.interference import aggressor_counts
 from repro.reliability.vth import MlcVthModel
 
@@ -219,6 +223,9 @@ class PhysicsEngine:
     def __init__(self, config: Optional[PhysicsConfig] = None) -> None:
         self.config = config or PhysicsConfig()
         cfg = self.config
+        # Import scipy now, so a memo miss in a measured phase never
+        # pays for it.
+        binom_sf()
         self._rng = random.Random(cfg.seed)
         self._array = None
         self._page_size = 4096

@@ -158,6 +158,18 @@ class TestDeviceRoundTrip:
             sizes.append(len(pickle.dumps(run)))
         assert sizes[1] <= sizes[0] * 1.1, sizes
 
+    def test_qos_device_snapshot_stays_bounded_as_it_runs(self):
+        """Queue-depth statistics are running sums, not one sample per
+        push and pop: 50,000 events in, a 2-tenant device pickles in
+        under 400,000 B (a per-sample list made it 826,117 B)."""
+        import pickle
+
+        run = DeviceRun.build(spec_for(tenants=2, ops=20000))
+        run.advance(50000)
+        assert not run.done
+        size = len(pickle.dumps(run))
+        assert size <= 400_000, size
+
 
 class TestHeaderValidation:
     def test_kernel_mismatch_refused(self, tmp_path):
@@ -207,13 +219,14 @@ class TestHeaderValidation:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot_header(path)
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_old_format_refused_before_unpickling(self, tmp_path,
                                                   old_format):
-        """Older payloads reference classes that no longer exist
-        (format 1: controller internals; format 2: the separate
+        """Older payloads reference classes or state that no longer
+        exist (format 1: controller internals; format 2: the separate
         streaming hosts and their op record; format 3: the multi-tenant
-        host's own completion callback); the header check refuses them
+        host's own completion callback; format 4: the submission
+        queues' depth-sample lists); the header check refuses them
         with the typed format error, before the unpickler runs."""
         run = DeviceRun.build(spec_for())
         run.advance(200)

@@ -60,8 +60,10 @@ class TestSubmissionQueue:
         queue = SubmissionQueue("t")
         queue.push(write(), seq=0, now=0.0)
         queue.push(write(), seq=1, now=1.0)
+        assert queue.mean_depth() == 1.0  # depth 1 over [0, 1]
         queue.pop(2.0)
-        assert queue.depth_samples == [(0.0, 1), (1.0, 2), (2.0, 1)]
+        assert queue.max_depth_seen == 2
+        assert queue.mean_depth() == 1.5  # the pop closed depth 2's 1 s
 
     def test_mean_depth_time_weighted(self):
         queue = SubmissionQueue("t")

@@ -63,6 +63,25 @@ class TestEccModel:
             max_tolerable_ber(target_page_failure=0.0)
 
 
+class TestEccCurvePinned:
+    """``repr``-exact points of the default curve (40 bits per 1-KB
+    codeword, 4-KB pages).  The physics engine's page-failure draws
+    and the endurance sweep hang on these values, so neither deferring
+    the scipy import nor swapping the binomial tail may move them."""
+
+    @pytest.mark.parametrize("ber, codeword, page", [
+        (4e-4, "1.5284636693351733e-30", "0.0"),
+        (3e-3, "0.0014844688362455546", "0.005924666538756895"),
+        (1e-2, "0.9999998092069821", "1.0"),
+    ])
+    def test_failure_probabilities(self, ber, codeword, page):
+        assert repr(codeword_failure_probability(ber)) == codeword
+        assert repr(page_failure_probability(ber)) == page
+
+    def test_default_max_tolerable_ber(self):
+        assert repr(max_tolerable_ber()) == "0.0012363530784636856"
+
+
 class TestEnduranceSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
