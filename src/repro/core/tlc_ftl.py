@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
+from repro.core.page_allocator import QuotaTracker
 from repro.ftl.base import BaseFtl, FtlConfig
 from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.tlc import (
@@ -221,8 +222,8 @@ class TlcFlexFtl(BaseFtl):
         # Every LSB write creates two units of catch-up debt (its CSB
         # and MSB siblings), so the budget is kept in half-page units:
         # -2 per LSB write, +1 per CSB or MSB write.
-        self.quota_cap = max(2, int(2 * quota_fraction * lsb_pages))
-        self.quota = self.quota_cap
+        cap = max(2, int(2 * quota_fraction * lsb_pages))
+        self.quota = QuotaTracker(cap, cap)
         self._rotation = 0
 
     # ------------------------------------------------------------------
@@ -234,10 +235,11 @@ class TlcFlexFtl(BaseFtl):
                                    tlc_page_index(wordline, ptype))
 
     def _note_program(self, ptype: TlcPageType) -> None:
+        quota = self.quota
         if ptype is TlcPageType.LSB:
-            self.quota -= 2
-        elif self.quota < self.quota_cap:
-            self.quota += 1
+            quota.value -= 2
+        elif quota.value < quota.cap:
+            quota.value += 1
 
     def _lsb_available(self, chip_id: int, for_gc: bool = False) -> bool:
         if self.managers[chip_id].available(TlcPageType.LSB):
@@ -271,7 +273,7 @@ class TlcFlexFtl(BaseFtl):
         if not any(available.values()):
             return None
         u = self.write_buffer.utilization
-        if u > self.u_high and self.quota > 0 \
+        if u > self.u_high and self.quota.value > 0 \
                 and available[TlcPageType.LSB]:
             return TlcPageType.LSB
         if u < self.u_low:
@@ -314,5 +316,5 @@ class TlcFlexFtl(BaseFtl):
 
     def counters(self):
         base = super().counters()
-        base["quota"] = self.quota
+        base["quota"] = self.quota.value
         return base

@@ -228,28 +228,10 @@ def _run_reliability_cell(
     }
 
 
-def _run_tlc_cell(**params: Any) -> Any:
-    from repro.experiments.tlc_system import run_tlc_workload
-
-    return run_tlc_workload(**params)
-
-
-def _encode_tlc(result: Any) -> Dict[str, Any]:
-    return result.to_dict()
-
-
-def _decode_tlc(data: Dict[str, Any]) -> Any:
-    from repro.experiments.tlc_system import TlcRunResult
-
-    return TlcRunResult.from_dict(data)
-
-
 register_executor("workload", run_workload,
                   encode=lambda result: result.to_dict(),
                   decode=RunResult.from_dict)
 register_executor("reliability", _run_reliability_cell)
-register_executor("tlc_workload", _run_tlc_cell,
-                  encode=_encode_tlc, decode=_decode_tlc)
 
 
 def workload_cell(

@@ -20,6 +20,7 @@ import dataclasses
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments.engine import EngineOptions
+from repro.experiments.runner import ExperimentConfig, check_ftl
 
 
 class CliError(Exception):
@@ -28,6 +29,22 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2) -> None:
         super().__init__(message)
         self.code = code
+
+
+def require_ftl(name: str,
+                config: Optional[ExperimentConfig] = None) -> None:
+    """:func:`~repro.experiments.runner.check_ftl` at the CLI boundary.
+
+    An unknown FTL name, or one whose device cannot take
+    ``config.geometry`` (a TLC FTL on an even-but-not-sextuple
+    ``pages_per_block``), becomes a one-line :class:`CliError`.
+    """
+    try:
+        check_ftl(name, config)
+    except KeyError as error:
+        raise CliError(str(error.args[0])) from None
+    except ValueError as error:
+        raise CliError(str(error)) from None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,11 +20,12 @@ just after the host starts, which is how a fleet
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.flexftl import FlexFtl
 from repro.core.page_allocator import PolicyConfig
 from repro.core.predictor import EwmaBurstPredictor
+from repro.core.tlc_ftl import TlcFlexFtl, TlcPageFtl
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import recover_after_power_loss
@@ -37,6 +38,8 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.sequence import SequenceScheme
 from repro.nand.timing import NandTiming
+from repro.nand.tlc import TlcScheme
+from repro.nand.tlc_array import TlcGeometry, TlcNandArray, TlcTiming
 from repro.qos.host import (
     MultiTenantHost,
     TenantSpec,
@@ -57,8 +60,12 @@ from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
 from repro.workloads.synthetic import sequential_fill
 
-#: FTL name -> (class, sequence scheme its device must enforce).
-FTL_REGISTRY: Dict[str, Tuple[Type[BaseFtl], SequenceScheme]] = {
+#: FTL name -> (class, sequence scheme its device must enforce).  A
+#: :class:`~repro.nand.tlc.TlcScheme` entry runs on a 3-bit
+#: :class:`~repro.nand.tlc_array.TlcNandArray`, every other one on the
+#: MLC :class:`~repro.nand.array.NandArray`.
+FTL_REGISTRY: Dict[str, Tuple[Type[BaseFtl],
+                              Union[SequenceScheme, TlcScheme]]] = {
     "pageFTL": (PageFtl, SequenceScheme.FPS),
     "parityFTL": (ParityFtl, SequenceScheme.FPS),
     "rtfFTL": (RtfFtl, SequenceScheme.FPS),
@@ -66,6 +73,10 @@ FTL_REGISTRY: Dict[str, Tuple[Type[BaseFtl], SequenceScheme]] = {
     # Related-work baseline (Section 5, ref [4]): LSB-only at half
     # capacity; not part of the paper's Figure 8 comparison.
     "slcFTL": (SlcFtl, SequenceScheme.RPS),
+    # The Section 1 TLC claim: the staggered FPS-TLC baseline and the
+    # three-phase flexFTL generalisation (repro.core.tlc_ftl).
+    "tlc-pageFTL": (TlcPageFtl, TlcScheme.FPS),
+    "tlc-flexFTL": (TlcFlexFtl, TlcScheme.RPS),
 }
 
 #: Scaled-down evaluation device: 4 channels x 2 chips, 64 blocks/chip,
@@ -231,15 +242,54 @@ class RunResult:
 _SECTIONS = ("physics", "tenants", "recoveries")
 
 
-def build_system(
-    ftl_name: str,
-    config: Optional[ExperimentConfig] = None,
-) -> Tuple[Simulator, NandArray, WriteBuffer, BaseFtl, StorageController]:
-    """Instantiate a complete simulated storage system."""
+def _is_tlc(ftl_name: str) -> bool:
+    """Whether ``ftl_name`` runs on the 3-bit TLC device."""
+    entry = FTL_REGISTRY.get(ftl_name)
+    return entry is not None and isinstance(entry[1], TlcScheme)
+
+
+def _tlc_geometry(ftl_name: str, geometry: NandGeometry) -> TlcGeometry:
+    """The TLC device shape with ``geometry``'s fields.
+
+    Built from the fields, so a config that went through
+    :meth:`ExperimentConfig.from_dict` (which yields a plain
+    :class:`NandGeometry`) builds the same device.
+    """
+    try:
+        return TlcGeometry(**dataclasses.asdict(geometry))
+    except ValueError as error:
+        raise ValueError(f"{ftl_name}: {error}") from None
+
+
+def check_ftl(ftl_name: str,
+              config: Optional[ExperimentConfig] = None) -> None:
+    """Raise what :func:`build_system` would, without building.
+
+    ``KeyError`` for an unknown name; ``ValueError`` naming
+    ``pages_per_block`` when ``ftl_name``'s device cannot take
+    ``config.geometry`` (a TLC block holds whole 3-page word lines).
+    """
     if ftl_name not in FTL_REGISTRY:
         raise KeyError(
             f"unknown FTL {ftl_name!r}; choose from {sorted(FTL_REGISTRY)}"
         )
+    if _is_tlc(ftl_name):
+        _tlc_geometry(ftl_name, (config or ExperimentConfig()).geometry)
+
+
+def build_system(
+    ftl_name: str,
+    config: Optional[ExperimentConfig] = None,
+) -> Tuple[Simulator, NandArray, WriteBuffer, BaseFtl, StorageController]:
+    """Instantiate a complete simulated storage system.
+
+    A TLC name builds a :class:`~repro.nand.tlc_array.TlcNandArray`
+    of ``config.geometry``'s shape with the constant
+    :class:`~repro.nand.tlc_array.TlcTiming` (``config.timing`` then
+    only sets the calendar kernel's bucket width) and ignores
+    ``config.track_history``: TLC blocks always keep their history.
+    """
+    check_ftl(ftl_name, config)
     config = config or ExperimentConfig()
     ftl_cls, scheme = FTL_REGISTRY[ftl_name]
     if config.kernel == "calendar":
@@ -256,8 +306,12 @@ def build_system(
         raise ValueError(
             f"unknown kernel {config.kernel!r}; "
             f"choose 'calendar' or 'heap'")
-    array = NandArray(config.geometry, config.timing, scheme=scheme,
-                      track_history=config.track_history)
+    if isinstance(scheme, TlcScheme):
+        array: Any = TlcNandArray(_tlc_geometry(ftl_name, config.geometry),
+                                  TlcTiming(), scheme=scheme)
+    else:
+        array = NandArray(config.geometry, config.timing, scheme=scheme,
+                          track_history=config.track_history)
     buffer = WriteBuffer(config.buffer_pages)
     if ftl_cls is FlexFtl:
         predictor = (EwmaBurstPredictor()
@@ -329,10 +383,12 @@ def warmup_device(sim: Simulator, controller: StorageController,
     warmup_host = ClosedLoopHost(sim, controller, [fill])
     warmup_host.start()
     sim.run(max_events=max_events)
-    if isinstance(ftl, FlexFtl):
-        # The fill saturates the device and exhausts the LSB quota;
-        # the measured phase starts from the paper's initial state.
-        ftl.quota.reset()
+    quota = getattr(ftl, "quota", None)
+    if quota is not None:
+        # The fill saturates the device and exhausts the LSB quota
+        # (flexFTL's and tlc-flexFTL's alike); the measured phase
+        # starts from the paper's initial state.
+        quota.reset()
 
 
 def begin_measured_phase(controller: StorageController, ftl: BaseFtl,
@@ -415,6 +471,15 @@ def _resolve_workload(
     return workload, None, workload.footprint
 
 
+#: The :func:`run_workload` keywords the TLC stack cannot arm, and why.
+_TLC_REFUSALS = {
+    "physics": "the error engine reads MLC Block state",
+    "power_cuts": "TLC FTLs model no paired-page backup "
+                  "(docs/MODELING.md)",
+    "faults": "fault recovery rebuilds MLC paired pages only",
+}
+
+
 def prepare_measured_run(
     *,
     ftl_name: str,
@@ -440,6 +505,14 @@ def prepare_measured_run(
     config = config or ExperimentConfig()
     workload, tenant_specs, footprint = _resolve_workload(
         scenario, tenants, arbiter)
+    if _is_tlc(ftl_name):
+        armed = {"physics": physics, "power_cuts": power_cuts,
+                 "faults": faults}
+        for keyword, value in armed.items():
+            if value is not None:
+                raise ValueError(
+                    f"{keyword}= cannot arm on TLC FTL {ftl_name!r}: "
+                    f"{_TLC_REFUSALS[keyword]}")
     if physics is not None and not config.track_history:
         raise ValueError(
             "physics= needs config.track_history=True: the engine "

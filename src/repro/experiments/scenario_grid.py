@@ -24,7 +24,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import (
     ExperimentConfig,
-    FTL_REGISTRY,
     PAPER_FTLS,
     RunResult,
     experiment_span,
@@ -178,10 +177,7 @@ def _cli_run(args, engine_options: EngineOptions) -> ScenarioGridResult:
                 f"unknown preset {preset!r}; choose from "
                 f"{sorted(PRESETS)}")
     for ftl in ftls:
-        if ftl not in FTL_REGISTRY:
-            raise registry.CliError(
-                f"unknown FTL {ftl!r}; choose from "
-                f"{sorted(FTL_REGISTRY)}")
+        registry.require_ftl(ftl)
     return run_scenario_grid(presets=presets, ftls=ftls,
                              total_ops=args.ops,
                              utilization=args.utilization,

@@ -17,7 +17,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import (
     ExperimentConfig,
-    FTL_REGISTRY,
     RunResult,
     experiment_span,
 )
@@ -69,10 +68,7 @@ def _cli_run(args, engine_options: EngineOptions) -> Dict[str, object]:
         raise registry.CliError(
             f"unknown workload {args.workload!r}; choose from "
             f"{sorted(PROFILES)}")
-    if args.ftl not in FTL_REGISTRY:
-        raise registry.CliError(
-            f"unknown FTL {args.ftl!r}; choose from "
-            f"{sorted(FTL_REGISTRY)}")
+    registry.require_ftl(args.ftl)
     span, result = run_single(workload=args.workload, ftl=args.ftl,
                               total_ops=args.ops,
                               utilization=args.utilization,

@@ -33,7 +33,6 @@ from typing import Dict
 
 from repro.experiments import registry
 from repro.experiments.engine import EngineOptions
-from repro.experiments.runner import FTL_REGISTRY
 from repro.fleet.chaos import ChaosPlan
 from repro.fleet.health import SupervisionPolicy
 from repro.fleet.service import (
@@ -116,10 +115,7 @@ def _cli_arguments(parser) -> None:
 
 def _cli_run(args, engine_options: EngineOptions
              ) -> FleetServeResult:
-    if args.ftl not in FTL_REGISTRY:
-        raise registry.CliError(
-            f"unknown FTL {args.ftl!r}; choose from "
-            f"{sorted(FTL_REGISTRY)}")
+    registry.require_ftl(args.ftl, fleet_config())
     if args.preset not in PRESETS:
         raise registry.CliError(
             f"unknown preset {args.preset!r}; choose from "

@@ -26,7 +26,7 @@ from typing import Any, Dict, Optional
 
 from repro.experiments.runner import (
     ExperimentConfig,
-    FTL_REGISTRY,
+    check_ftl,
     prepare_measured_run,
 )
 from repro.fleet.snapshot import (
@@ -65,10 +65,7 @@ class DeviceSpec:
     max_outstanding: Optional[int] = 8
 
     def __post_init__(self) -> None:
-        if self.ftl_name not in FTL_REGISTRY:
-            raise KeyError(
-                f"unknown FTL {self.ftl_name!r}; choose from "
-                f"{sorted(FTL_REGISTRY)}")
+        check_ftl(self.ftl_name, self.config)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot, invertible via :meth:`from_dict`."""

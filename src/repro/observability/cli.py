@@ -85,6 +85,7 @@ def _record(args: argparse.Namespace) -> TraceRecordResult:
             f"unknown workload {args.workload!r}; choose from "
             f"{sorted(WORKLOADS)}")
     config = ExperimentConfig(track_history=False)
+    registry.require_ftl(args.ftl, config)
     span = bench_span(args.ftl, config)
     scenario = WORKLOADS[args.workload](span, args.scale, args.seed)
     tracer = Tracer(capacity=args.capacity)
@@ -113,10 +114,7 @@ def _cli_run(args: argparse.Namespace,
             raise registry.CliError(str(error)) from error
         except TraceFormatError as error:
             raise registry.CliError(str(error)) from error
-    try:
-        return _record(args)
-    except KeyError as error:
-        raise registry.CliError(str(error.args[0])) from error
+    return _record(args)
 
 
 def _cli_render(result) -> str:

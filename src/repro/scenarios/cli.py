@@ -29,7 +29,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import (
     ExperimentConfig,
-    FTL_REGISTRY,
     RunResult,
     experiment_span,
 )
@@ -125,11 +124,8 @@ def _cli_run(args, engine_options: EngineOptions) -> Dict[str, Any]:
     if args.replay and (args.preset or args.export):
         raise registry.CliError(
             "--replay is standalone; it takes no --preset/--export")
-    if args.ftl not in FTL_REGISTRY:
-        raise registry.CliError(
-            f"unknown FTL {args.ftl!r}; choose from "
-            f"{sorted(FTL_REGISTRY)}")
     config = ExperimentConfig()
+    registry.require_ftl(args.ftl, config)
 
     if args.replay:
         path = Path(args.replay)

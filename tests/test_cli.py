@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
 
 import pytest
 
@@ -71,6 +72,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "three-phase" in out
+
+    def test_tlc_system_mode_json(self, capsys):
+        assert main(["tlc", "--mode", "system", "--no-cache",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mode"] == "system"
+        results = payload["results"]
+        assert sorted(results) == ["tlc-flexFTL", "tlc-pageFTL"]
+        for name, result in results.items():
+            assert result["ftl_name"] == name
+            assert result["events"] > 0
+            assert result["stats"]["completed_writes"] > 0
+        # the measured-phase quota change (final - cap), not the value
+        assert results["tlc-flexFTL"]["counters"]["quota"] < 0
+        assert "quota" not in results["tlc-pageFTL"]["counters"]
 
     def test_recovery(self, capsys):
         assert main(["recovery", "--wordlines", "16"]) == 0
