@@ -15,8 +15,10 @@ the escalated (stronger/slow) decode clear it?  — leaving only the
 truly uncorrectable residue to parity reconstruction or data loss.
 The ECC math is imported on the first read fault, and
 :mod:`repro.reliability.ecc` defers scipy to its first curve
-evaluation, so a plan without read faults never loads scipy
-(``tests/test_import_weight.py`` checks this in a fresh interpreter).
+evaluation, so a plan without read faults never loads scipy, and one
+with read faults loads only :mod:`scipy.special`, never
+:mod:`scipy.stats` (``tests/test_import_weight.py`` checks both in a
+fresh interpreter).
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class FaultInjector:
 
     def _ladder_probabilities(self, ber: float) -> Tuple[float, float]:
         """(P[baseline decode fails], P[escalated decode fails])."""
-        from repro.reliability.ecc import (  # lazy: scipy-backed
+        from repro.reliability.ecc import (  # lazy: scipy.special-backed
             EccConfig,
             page_failure_probability,
         )

@@ -1027,8 +1027,12 @@ class BaseFtl(abc.ABC):
         return len(self.chips[chip_id].free_blocks)
 
     def counters(self) -> Dict[str, int]:
-        """Aggregate operation counters for reports."""
-        return {
+        """Aggregate operation counters for reports.
+
+        A TLC array also reports ``csb_programs``, its third page type;
+        an MLC array's counters carry only LSB and MSB programs.
+        """
+        counters = {
             "host_programs": self.host_programs,
             "gc_programs": self.gc_programs,
             "backup_programs": self.backup_programs,
@@ -1038,6 +1042,10 @@ class BaseFtl(abc.ABC):
             "lsb_programs": self.array.lsb_programs,
             "msb_programs": self.array.msb_programs,
         }
+        csb_programs = getattr(self.array, "csb_programs", None)
+        if csb_programs is not None:
+            counters["csb_programs"] = csb_programs
+        return counters
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

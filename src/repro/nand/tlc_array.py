@@ -118,7 +118,7 @@ class TlcNandArray:
             wordline, ptype)
 
     # ------------------------------------------------------------------
-    # aggregate counters (BaseFtl.counters() reads lsb/msb_programs)
+    # aggregate counters (BaseFtl.counters() reads lsb/csb/msb_programs)
 
     @property
     def total_erases(self) -> int:

@@ -28,7 +28,9 @@ and collector pauses only add variance, not signal.
 Wall-clock numbers are inherently noisy (+/-10% on a busy machine);
 compare two configurations only through :func:`run_paired`, never
 through single samples.  The trace-overhead, physics-overhead and
-scale-sweep modes are configurations of it.
+scale-sweep modes are configurations of it; the physics-overhead mode
+loads the ECC tail's kernel (:mod:`scipy.special`, never
+:mod:`scipy.stats`) before its first timed pair.
 """
 
 from __future__ import annotations
@@ -590,7 +592,7 @@ def run_physics_overhead(
     from repro.reliability.ecc import binom_sf
     from repro.reliability.physics import PhysicsConfig
 
-    binom_sf()  # import scipy before the first timed pair, not in it
+    binom_sf()  # import scipy.special before the first timed pair
     config = ExperimentConfig(track_history=True)
     span = bench_span(BENCH_FTL, config)
     run = {"config": config,

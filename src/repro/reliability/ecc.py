@@ -10,9 +10,13 @@ device still meets an uncorrectable-error target.  Used by
 :mod:`repro.experiments.endurance` to show that RPS preserves not just
 the raw BER but the usable lifetime.
 
-scipy is imported on the first call of :func:`binom_sf`, not with this
-module, so the CLI, the fleet service and every physics-free run
-import :mod:`repro` without it (``tests/test_import_weight.py``).
+The binomial tail is scipy's compiled kernel
+``scipy.special._ufuncs._binom_sf``, the very function
+``scipy.stats.binom.sf`` evaluates inside its argument checks, so only
+:mod:`scipy.special` is loaded, never :mod:`scipy.stats`.  It is
+imported on the first call of :func:`binom_sf`, not with this module,
+so the CLI, the fleet service and every physics-free run import
+:mod:`repro` without scipy (``tests/test_import_weight.py``).
 """
 
 from __future__ import annotations
@@ -24,15 +28,27 @@ from typing import Callable
 
 @functools.cache
 def binom_sf() -> Callable[..., float]:
-    """``scipy.stats.binom.sf``, importing scipy on the first call.
+    """The binomial survival function ``sf(k, n, p)``, importing scipy on
+    the first call.
 
-    The one binomial tail of the ECC model.  Cached, so the process
-    pays the import once; :class:`repro.reliability.physics.PhysicsEngine`
-    calls it at construction so the import lands in set-up, never in a
-    measured phase.
+    The one binomial tail of the ECC model: scipy's compiled kernel
+    ``_binom_sf``, which ``stats.binom.sf`` calls once its argument
+    checks pass, so its values match ``binom.sf`` bit for bit inside the
+    support (:func:`codeword_failure_probability` handles ``k >= n``,
+    where the kernel returns ``nan``).  The public
+    ``scipy.special.bdtrc`` is a different kernel whose values differ in
+    the last bits.  A scipy without the private kernel gets
+    ``stats.binom.sf`` itself.  Cached, so the process pays the import
+    once; :class:`repro.reliability.physics.PhysicsEngine` calls it at
+    construction so the import lands in set-up, never in a measured
+    phase.
     """
-    from scipy import stats
-    return stats.binom.sf
+    try:
+        from scipy.special._ufuncs import _binom_sf
+    except ImportError:
+        from scipy import stats
+        return stats.binom.sf
+    return _binom_sf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +80,7 @@ def codeword_failure_probability(raw_ber: float,
     """P[more than t bit errors in one codeword] for i.i.d. errors."""
     if not (0.0 <= raw_ber <= 1.0):
         raise ValueError(f"raw_ber must be in [0, 1], got {raw_ber}")
-    if raw_ber == 0.0:
+    if raw_ber == 0.0 or config.correctable_bits >= config.codeword_bits:
         return 0.0
     return float(binom_sf()(config.correctable_bits,
                             config.codeword_bits, raw_ber))

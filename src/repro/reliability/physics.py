@@ -22,7 +22,10 @@ on sampled (host) reads, in completion order — which both kernels
 retire identically — so results are byte-identical across ``kernel``
 choices and across process boundaries.
 The engine is default-off: nothing in this module runs unless a
-:class:`PhysicsEngine` is attached to the controller.
+:class:`PhysicsEngine` is attached to the controller.  Building one
+loads scipy's compiled binomial tail (:mod:`scipy.special`, through
+:func:`repro.reliability.ecc.binom_sf`), so the import lands in
+set-up; :mod:`scipy.stats` is never loaded.
 """
 
 from __future__ import annotations
@@ -223,8 +226,8 @@ class PhysicsEngine:
     def __init__(self, config: Optional[PhysicsConfig] = None) -> None:
         self.config = config or PhysicsConfig()
         cfg = self.config
-        # Import scipy now, so a memo miss in a measured phase never
-        # pays for it.
+        # Import scipy.special now, so a memo miss in a measured phase
+        # never pays for it.
         binom_sf()
         self._rng = random.Random(cfg.seed)
         self._array = None

@@ -1,10 +1,15 @@
 """Tests for the ECC capability model and the endurance sweep."""
 
+import random
+import sys
+
 import pytest
+from scipy import stats
 
 from repro.experiments.endurance import run_endurance_sweep
 from repro.reliability.ecc import (
     EccConfig,
+    binom_sf,
     codeword_failure_probability,
     max_tolerable_ber,
     page_failure_probability,
@@ -80,6 +85,59 @@ class TestEccCurvePinned:
 
     def test_default_max_tolerable_ber(self):
         assert repr(max_tolerable_ber()) == "0.0012363530784636856"
+
+
+class TestEccKernelOracle:
+    """The ECC tail is the compiled kernel ``scipy.stats.binom.sf``
+    evaluates, so every probability equals ``binom.sf``'s exactly, with
+    or without the fallback to ``binom.sf`` itself."""
+
+    #: Seeded log-uniform raw BERs in [1e-7, 1].
+    BERS = [10.0 ** random.Random(27).uniform(-7.0, 0.0)
+            for _ in range(400)]
+    CONFIGS = [EccConfig(codeword_bytes=size, correctable_bits=t)
+               for size in (512, 1024) for t in (40, 72)]
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """Resolve :func:`binom_sf` with the private kernel's import
+        failing, as on a scipy without it."""
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
+        binom_sf.cache_clear()
+        yield
+        binom_sf.cache_clear()
+
+    def assert_matches_binom_sf(self):
+        for config in self.CONFIGS:
+            t, n = config.correctable_bits, config.codeword_bits
+            mismatches = [
+                ber for ber in self.BERS + [0.0, 1.0]
+                if codeword_failure_probability(ber, config)
+                != float(stats.binom.sf(t, n, ber))]
+            assert mismatches == [], (t, n, mismatches[:5])
+        # t >= n never fails; the raw kernel returns nan for t > n
+        for t in (8, 9):
+            config = EccConfig(codeword_bytes=1, correctable_bits=t)
+            for ber in (1e-3, 0.5, 1.0):
+                assert codeword_failure_probability(ber, config) == 0.0 \
+                    == float(stats.binom.sf(t, 8, ber))
+                assert page_failure_probability(ber, 4096, config) == 0.0
+
+    def test_kernel_is_the_one_binom_sf_evaluates(self):
+        from scipy.stats import _discrete_distns
+        kernel = getattr(getattr(_discrete_distns, "scu", None),
+                         "_binom_sf", None)
+        if kernel is not None:
+            assert binom_sf() is kernel
+        else:
+            assert binom_sf() == stats.binom.sf
+
+    def test_matches_binom_sf_exactly(self):
+        self.assert_matches_binom_sf()
+
+    def test_fallback_matches_binom_sf_exactly(self, fallback):
+        assert binom_sf() == stats.binom.sf
+        self.assert_matches_binom_sf()
 
 
 class TestEnduranceSweep:

@@ -167,6 +167,18 @@ class TestTlcFtls:
         assert array.csb_programs > 0
         assert array.msb_programs > 0
 
+    @pytest.mark.parametrize("ftl_name", TLC_FTLS)
+    def test_counters_count_every_page_type(self, ftl_name):
+        array, ftl, _ = self.run_writes(ftl_name, 200, span=80)
+        counters = ftl.counters()
+        assert counters["csb_programs"] > 0
+        assert counters["lsb_programs"] + counters["csb_programs"] \
+            + counters["msb_programs"] == array.total_programs
+
+    def test_mlc_counters_carry_no_csb_key(self):
+        _, _, _, ftl, _ = build_system("pageFTL")
+        assert "csb_programs" not in ftl.counters()
+
     def test_flex_blocks_are_three_phase(self):
         array, ftl, stats = self.run_writes("tlc-flexFTL", 120)
         for chip in array.chips:
@@ -224,6 +236,16 @@ class TestTlcSystemExperiment:
     def test_unknown_ftl_rejected(self):
         with pytest.raises(KeyError):
             build_system("tlc-nope")
+
+    def test_run_counters_split_programs_by_page_type(self):
+        result = run_workload(ftl_name="tlc-pageFTL",
+                              scenario=small_scenario("tlc-pageFTL"),
+                              config=small_config())
+        counters = result.counters
+        assert counters["csb_programs"] > 0
+        assert counters["lsb_programs"] + counters["csb_programs"] \
+            + counters["msb_programs"] == counters["host_programs"] \
+            + counters["gc_programs"] + counters["backup_programs"]
 
     @pytest.mark.parametrize("ftl_name", TLC_FTLS)
     def test_traced_run_equals_untraced(self, ftl_name):
