@@ -12,13 +12,14 @@ backbone end to end:
 The resumed report's fleet fingerprint — a SHA-256 over every device's
 measured trace surface — is asserted equal to the oracle's: the kill
 changed nothing, byte for byte.  Also peeks inside a snapshot header
-and shows the kernel-mismatch refusal.
+and shows a foreign fleet's snapshot being refused.
 
 Usage::
 
     python examples/fleet.py
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from repro.fleet import (
     DeviceRun,
     FleetSpec,
     SnapshotMismatchError,
-    fleet_config,
     run_fleet,
 )
 
@@ -51,7 +51,7 @@ def main() -> None:
         print(f"   {len(snaps)} snapshot files in {ckpt.name}/")
 
         header = DeviceRun.peek(snaps[0])
-        print(f"   {snaps[0].name}: kernel={header['kernel']} "
+        print(f"   {snaps[0].name}: "
               f"format={header['format_version']} "
               f"events={header['events']} "
               f"sha256={header['payload_sha256'][:12]}…")
@@ -69,18 +69,18 @@ def main() -> None:
         assert same, "kill/resume diverged from the oracle"
 
         print()
-        print("== 4. a heap-kernel config refuses a calendar snapshot")
+        print("== 4. another fleet spec refuses this fleet's snapshot")
         stopped2 = run_fleet(fleet, jobs=1, checkpoint_dir=str(ckpt),
                              stop_after_events=500)
         assert stopped2.checkpoints > 0
         snap = sorted(ckpt.glob("*.snap"))[0]
+        other = dataclasses.replace(fleet, seed=fleet.seed + 1)
         try:
-            DeviceRun.load(snap,
-                           expect_config=fleet_config(kernel="heap"))
+            DeviceRun.load(snap, expect_fleet_hash=other.content_hash())
         except SnapshotMismatchError as error:
             print(f"   refused as expected: {error}")
         else:
-            raise AssertionError("mismatched kernel resume not caught")
+            raise AssertionError("foreign fleet snapshot not caught")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,17 @@ just after the host starts, which is how a fleet
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+    get_type_hints,
+)
 
 from repro.core.flexftl import FlexFtl
 from repro.core.page_allocator import PolicyConfig
@@ -54,7 +64,7 @@ from repro.scenarios.base import (
 )
 from repro.sim.controller import StorageController
 from repro.sim.host import ClosedLoopHost, TraceReplayHost
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.powerloss import ScheduledPowerLoss
 from repro.sim.queues import WriteBuffer
 from repro.sim.stats import SimStats
@@ -110,11 +120,6 @@ class ExperimentConfig:
     #: analyses; performance runs turn this off — it does not change
     #: any simulation outcome, only what the device remembers).
     track_history: bool = True
-    #: event-queue implementation: "calendar" (bucket queue sized to
-    #: the LSB-program latency quantum) or "heap" (the original binary
-    #: heap, kept as the equivalence oracle).  Pop order — and hence
-    #: every simulation outcome — is identical.
-    kernel: str = "calendar"
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot, invertible via :meth:`from_dict`.
@@ -129,23 +134,39 @@ class ExperimentConfig:
         """Inverse of :meth:`to_dict`.
 
         Keys for fields this version no longer has (an older config's
-        chip-dispatch mode, say) are ignored: they never changed an
-        outcome.
+        chip-dispatch mode or event kernel, say) are ignored: they
+        never changed an outcome.  ``track_history`` may be missing (it
+        came later; it defaults on).  Any other missing field, or one
+        of the wrong JSON type, raises ``ValueError`` naming it.
         """
-        return cls(
-            geometry=NandGeometry(**data["geometry"]),  # type: ignore[arg-type]
-            timing=NandTiming(**data["timing"]),  # type: ignore[arg-type]
-            buffer_pages=int(data["buffer_pages"]),  # type: ignore[arg-type]
-            ftl_config=FtlConfig(**data["ftl_config"]),  # type: ignore[arg-type]
-            policy_config=PolicyConfig(**data["policy_config"]),  # type: ignore[arg-type]
-            bandwidth_window=float(data["bandwidth_window"]),  # type: ignore[arg-type]
-            warmup=bool(data["warmup"]),
-            flex_parity_interval=int(data["flex_parity_interval"]),  # type: ignore[arg-type]
-            rtf_active_blocks=int(data["rtf_active_blocks"]),  # type: ignore[arg-type]
-            flex_use_predictor=bool(data["flex_use_predictor"]),
-            track_history=bool(data.get("track_history", True)),
-            kernel=str(data.get("kernel", "calendar")),
-        )
+        types = get_type_hints(cls)
+        kwargs: Dict[str, Any] = {}
+        for field in dataclasses.fields(cls):
+            name = field.name
+            if name not in data:
+                if name == "track_history":
+                    continue
+                raise ValueError(f"ExperimentConfig: missing field {name!r}")
+            kind, value = types[name], data[name]
+            try:
+                if dataclasses.is_dataclass(kind):
+                    if not isinstance(value, dict):
+                        raise TypeError(f"expected a dict, got "
+                                        f"{type(value).__name__}")
+                    kwargs[name] = kind(**value)
+                    continue
+                # JSON numbers: an int is a valid float, a bool is
+                # never a number
+                accepted = (int, float) if kind is float else kind
+                if not isinstance(value, accepted) or (
+                        kind is not bool and isinstance(value, bool)):
+                    raise TypeError(f"expected {kind.__name__}, got "
+                                    f"{type(value).__name__}")
+                kwargs[name] = kind(value)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"ExperimentConfig: bad {name!r} "
+                                 f"({value!r}): {error}") from error
+        return cls(**kwargs)
 
 
 @dataclasses.dataclass
@@ -285,27 +306,14 @@ def build_system(
 
     A TLC name builds a :class:`~repro.nand.tlc_array.TlcNandArray`
     of ``config.geometry``'s shape with the constant
-    :class:`~repro.nand.tlc_array.TlcTiming` (``config.timing`` then
-    only sets the calendar kernel's bucket width) and ignores
-    ``config.track_history``: TLC blocks always keep their history.
+    :class:`~repro.nand.tlc_array.TlcTiming` (``config.timing`` is
+    then unused) and ignores ``config.track_history``: TLC blocks
+    always keep their history.
     """
     check_ftl(ftl_name, config)
     config = config or ExperimentConfig()
     ftl_cls, scheme = FTL_REGISTRY[ftl_name]
-    if config.kernel == "calendar":
-        # Bucket width = the LSB program time, the dominant latency
-        # quantum of write-heavy NAND traffic.  Narrower buckets
-        # (e.g. one read slot) leave most buckets empty and waste the
-        # run loop on day advances; measured sweep in
-        # docs/PERFORMANCE.md.
-        sim: Simulator = Simulator(
-            bucket_width=config.timing.t_lsb_prog)
-    elif config.kernel == "heap":
-        sim = HeapSimulator()  # type: ignore[assignment]
-    else:
-        raise ValueError(
-            f"unknown kernel {config.kernel!r}; "
-            f"choose 'calendar' or 'heap'")
+    sim = Simulator()
     if isinstance(scheme, TlcScheme):
         array: Any = TlcNandArray(_tlc_geometry(ftl_name, config.geometry),
                                   TlcTiming(), scheme=scheme)

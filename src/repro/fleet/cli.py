@@ -64,9 +64,6 @@ def _cli_arguments(parser) -> None:
     parser.add_argument("--arbiter", default="wrr",
                         help="QoS arbitration policy for tenanted "
                              "fleets")
-    parser.add_argument("--kernel", default="calendar",
-                        choices=("calendar", "heap"),
-                        help="event-queue kernel per device")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="snapshot directory (enables "
                              "checkpointing)")
@@ -160,7 +157,7 @@ def _cli_run(args, engine_options: EngineOptions
         tenants=args.tenants,
         arbiter=args.arbiter,
         seed=args.seed,
-        config=fleet_config(kernel=args.kernel),
+        config=fleet_config(),
     )
     return run_fleet(
         fleet,

@@ -49,7 +49,7 @@ class DeviceSpec:
             key.
         scenario: the workload's JSON-safe scenario spec (see
             :meth:`repro.scenarios.base.Scenario.spec`).
-        config: system configuration (geometry, timing, kernel, ...).
+        config: system configuration (geometry, timing, ...).
         arbiter: QoS arbitration policy name; when set and the
             scenario carries tenant bindings, the device runs behind
             the multi-tenant submission-queue front-end.
@@ -182,7 +182,6 @@ class DeviceRun:
         """The context fields recorded alongside the pickled state."""
         return {
             "kind": "device_run",
-            "kernel": self.spec.config.kernel,
             "ftl_name": self.spec.ftl_name,
             "device_id": self.spec.device_id,
             "sim_now": repr(self.sim.now),
@@ -210,24 +209,18 @@ class DeviceRun:
 
     @classmethod
     def load(cls, path: "Path | str",
-             expect_config: Optional[ExperimentConfig] = None,
              expect_fleet_hash: Optional[str] = None
              ) -> "DeviceRun":
         """Resume a device from a snapshot file.
 
-        ``expect_config`` (usually the resuming fleet's config) pins
-        the kernel; a mismatch refuses with a clear error instead of
-        risking divergence.  ``expect_fleet_hash``
-        pins the owning :class:`~repro.fleet.service.FleetSpec`'s
-        content hash: snapshot paths are named only by device id, so
-        two different fleets sharing a checkpoint directory would
-        otherwise silently splice each other's devices in.  A snapshot
-        written without a fleet hash (direct ``save()`` callers) is
-        accepted.
+        ``expect_fleet_hash`` pins the owning
+        :class:`~repro.fleet.service.FleetSpec`'s content hash:
+        snapshot paths are named only by device id, so two different
+        fleets sharing a checkpoint directory would otherwise silently
+        splice each other's devices in.  A snapshot written without a
+        fleet hash (direct ``save()`` callers) is accepted.
         """
-        expect_kernel = None if expect_config is None \
-            else expect_config.kernel
-        header, run = read_snapshot(path, expect_kernel=expect_kernel)
+        header, run = read_snapshot(path)
         if header.get("kind") != "device_run" \
                 or not isinstance(run, cls):
             raise SnapshotError(

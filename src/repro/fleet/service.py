@@ -58,11 +58,9 @@ FLEET_GEOMETRY = NandGeometry(
 )
 
 
-def fleet_config(kernel: str = "calendar") -> ExperimentConfig:
+def fleet_config() -> ExperimentConfig:
     """The default per-device configuration for fleet serving."""
-    return ExperimentConfig(geometry=FLEET_GEOMETRY,
-                            track_history=False,
-                            kernel=kernel)
+    return ExperimentConfig(geometry=FLEET_GEOMETRY, track_history=False)
 
 
 @dataclasses.dataclass(frozen=True)

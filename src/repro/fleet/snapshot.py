@@ -7,8 +7,7 @@ RNG states, SimStats, fault-injector cursors and host/scenario cursors
 cells, bound-method callbacks, aliased stats objects) survives with
 identity intact.  A run checkpointed at an event boundary and resumed
 from the file is byte-identical to the uninterrupted run; the tests in
-``tests/test_fleet_snapshot.py`` assert exactly that, per kernel and
-per FTL.
+``tests/test_fleet_snapshot.py`` assert exactly that, per FTL.
 
 File layout (all integers big-endian)::
 
@@ -18,12 +17,9 @@ File layout (all integers big-endian)::
     rest      pickle payload
 
 The header is readable without unpickling anything: it names the
-snapshot format version, the package version that wrote the file, the
-simulation kernel (``calendar``/``heap``), and a SHA-256 over the
-payload so truncation or corruption is detected before the unpickler
-ever runs.  Resuming under a mismatched kernel is refused with a clear
-error — pending-event layouts differ between kernels, so a silent
-cross-load could never be byte-faithful.
+snapshot format version, the package version that wrote the file, and
+a SHA-256 over the payload, so truncation, corruption or a file from
+another format is detected before the unpickler ever runs.
 
 Snapshot files are pickles: load them only from paths you (or your
 own checkpointing run) wrote, never from untrusted sources.
@@ -57,8 +53,11 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: host's streams and snapshots by scenario spec; format-3 pickles
 #: reference its deleted completion callback.  Format 5: submission
 #: queues keep running depth sums instead of a per-push/pop sample
-#: list; format-4 tenant pickles carry the list and no sums.
-SNAPSHOT_FORMAT_VERSION = 5
+#: list; format-4 tenant pickles carry the list and no sums.  Format
+#: 6: the binary heap is the only event kernel; format-5 pickles may
+#: hold the deleted bucket-queue kernel, and their headers name a
+#: ``kernel``.
+SNAPSHOT_FORMAT_VERSION = 6
 
 _LEN = struct.Struct(">I")
 
@@ -73,7 +72,7 @@ class SnapshotFormatError(SnapshotError):
 
 class SnapshotMismatchError(SnapshotError):
     """The snapshot is valid but incompatible with the resume context
-    (e.g. it was written under a different simulation kernel)."""
+    (e.g. it was written for a different fleet spec)."""
 
 
 #: Chaos/test hook: called with the fully written + fsynced temp path
@@ -101,7 +100,7 @@ def write_snapshot(path: "Path | str", payload: Any,
                    header: Dict[str, Any]) -> Dict[str, Any]:
     """Write ``payload`` (pickled) under a versioned header.
 
-    ``header`` must carry at least ``kernel``; the format version,
+    ``header`` holds the caller's context fields; the format version,
     package version, payload digest and payload length are filled in
     here.  The write is crash-safe, not merely atomic: the temp file
     is fsynced before the rename and the containing directory is
@@ -111,8 +110,6 @@ def write_snapshot(path: "Path | str", payload: Any,
     one is durable.  Returns the full header as written.
     """
     path = Path(path)
-    if "kernel" not in header:
-        raise ValueError("snapshot header needs 'kernel'")
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     full = dict(header)
     full["format_version"] = SNAPSHOT_FORMAT_VERSION
@@ -172,18 +169,8 @@ def read_snapshot_header(path: "Path | str") -> Dict[str, Any]:
         return _read_header(handle, path)
 
 
-def read_snapshot(
-    path: "Path | str",
-    expect_kernel: Optional[str] = None,
-) -> Tuple[Dict[str, Any], Any]:
-    """Load ``(header, payload)``, verifying integrity and context.
-
-    Args:
-        path: snapshot file.
-        expect_kernel: when given, the resume context's kernel; a
-            mismatch raises :class:`SnapshotMismatchError` instead of
-            resuming a calendar-queue event set onto a heap (or vice
-            versa).
+def read_snapshot(path: "Path | str") -> Tuple[Dict[str, Any], Any]:
+    """Load ``(header, payload)``, verifying integrity.
 
     A package-version skew (file written by a different release) is
     not fatal — pickles usually survive small releases — but it is
@@ -204,15 +191,6 @@ def read_snapshot(
         raise SnapshotFormatError(
             f"{path} failed its integrity check (payload digest "
             f"mismatch); the file is corrupt")
-    if expect_kernel is not None \
-            and header.get("kernel") != expect_kernel:
-        raise SnapshotMismatchError(
-            f"{path} was checkpointed under the "
-            f"{header.get('kernel')!r} kernel but this run resumes "
-            f"under {expect_kernel!r}; pending-event layouts differ "
-            f"between kernels, so resume is refused.  Re-run with "
-            f"kernel={header.get('kernel')!r} (or restart from "
-            f"scratch under the new kernel).")
     written_by = header.get("package_version")
     if written_by != __version__:
         warnings.warn(

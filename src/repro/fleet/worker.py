@@ -110,8 +110,7 @@ def _build_runs(task: ShardTask) -> Tuple[List[DeviceRun], int, int]:
             if path.exists():
                 try:
                     run = DeviceRun.load(
-                        path, expect_config=spec.config,
-                        expect_fleet_hash=task.fleet_hash)
+                        path, expect_fleet_hash=task.fleet_hash)
                     resumed += 1
                 except SnapshotFormatError:
                     # Torn/corrupt snapshot (host died mid-write):

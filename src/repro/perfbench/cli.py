@@ -21,7 +21,6 @@ from repro.perfbench.harness import (
     WORKLOADS,
     run_perfbench,
     run_physics_overhead,
-    run_scale_sweep,
     run_trace_overhead,
 )
 
@@ -73,20 +72,9 @@ def _cli_arguments(parser: argparse.ArgumentParser) -> None:
              f"(budget {PHYSICS_OVERHEAD_BUDGET_PCT:g}%% unless "
              "--overhead-budget is given)")
     parser.add_argument(
-        "--scale-sweep", action="store_true",
-        help="benchmark one workload at 1x/4x/16x chip counts, default "
-             "kernel vs the heap oracle on identical streams "
-             "(event counts cross-checked; see docs/PERFORMANCE.md)")
-    parser.add_argument(
         "--rounds", type=int, default=None,
-        help="measurement rounds per arm (default 5 for "
-             "--trace-overhead and --physics-overhead, 3 for "
-             "--scale-sweep)")
-    parser.add_argument(
-        "--sweep-multipliers", default="1,4,16", metavar="M,M,...",
-        help="comma-separated chip-count multipliers for "
-             "--scale-sweep; each must be a perfect square "
-             "(default 1,4,16)")
+        help="measurement rounds per arm of --trace-overhead and "
+             "--physics-overhead (default 5)")
     parser.add_argument(
         "--overhead-budget", type=float, default=None, metavar="PCT",
         help="maximum acceptable overhead percent for "
@@ -103,8 +91,7 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
     scale = QUICK_SCALE if args.quick else args.scale
     modes = [name for name, flag in
              (("--trace-overhead", args.trace_overhead),
-              ("--physics-overhead", args.physics_overhead),
-              ("--scale-sweep", args.scale_sweep)) if flag]
+              ("--physics-overhead", args.physics_overhead)) if flag]
     if len(modes) > 1:
         raise registry.CliError(
             f"{' and '.join(modes)} are mutually exclusive")
@@ -114,23 +101,13 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
                   scale=scale, seed=args.seed, output_path=args.output)
     if args.rounds is not None:
         paired["rounds"] = args.rounds
-    if args.scale_sweep:
-        try:
-            paired["multipliers"] = tuple(
-                int(part) for part in args.sweep_multipliers.split(","))
-        except ValueError as error:
-            raise registry.CliError(
-                f"--sweep-multipliers must be comma-separated "
-                f"integers, got {args.sweep_multipliers!r}") from error
-    elif args.overhead_budget is not None:
+    if args.overhead_budget is not None:
         paired["budget_pct"] = args.overhead_budget
     try:
         if args.trace_overhead:
             return run_trace_overhead(**paired)
         if args.physics_overhead:
             return run_physics_overhead(**paired)
-        if args.scale_sweep:
-            return run_scale_sweep(**paired)
         return run_perfbench(
             workloads=workloads,
             scale=scale,
@@ -144,9 +121,9 @@ def _cli_run(args: argparse.Namespace, engine_options: EngineOptions):
         raise registry.CliError(str(error.args[0])) from error
 
 
-# Render/to_dict are duck-typed: _cli_run returns a PerfbenchResult, a
-# PairedResult (--trace-overhead, --physics-overhead) or a
-# ScaleSweepResult; all carry render(), to_dict() and passed().
+# Render/to_dict are duck-typed: _cli_run returns a PerfbenchResult or
+# a PairedResult (--trace-overhead, --physics-overhead); both carry
+# render(), to_dict() and passed().
 registry.register(registry.Experiment(
     name="perfbench",
     help="core throughput benchmark (events/sec, host-ops/sec)",

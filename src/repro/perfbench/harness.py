@@ -27,8 +27,8 @@ and collector pauses only add variance, not signal.
 
 Wall-clock numbers are inherently noisy (+/-10% on a busy machine);
 compare two configurations only through :func:`run_paired`, never
-through single samples.  The trace-overhead, physics-overhead and
-scale-sweep modes are configurations of it; the physics-overhead mode
+through single samples.  The trace-overhead and physics-overhead
+modes are configurations of it; the physics-overhead mode
 loads the ECC tail's kernel (:mod:`scipy.special`, never
 :mod:`scipy.stats`) before its first timed pair.
 """
@@ -42,7 +42,6 @@ import json
 import platform
 import statistics
 import time
-from math import isqrt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
@@ -50,7 +49,6 @@ from repro.experiments.runner import (
     build_system,
     run_workload,
 )
-from repro.nand.geometry import NandGeometry
 from repro.qos.host import TenantSpec
 from repro.scenarios.base import Scenario
 from repro.scenarios.generator import Phase, WorkloadScenario
@@ -100,10 +98,6 @@ PHYSICS_OVERHEAD_BUDGET_PCT = 30.0
 PHYSICS_BENCH_PE = 3000
 PHYSICS_BENCH_RETENTION_HOURS = 8760.0
 
-#: Chip-count multipliers of ``--scale-sweep`` (geometry grows by
-#: ``sqrt(m)`` per axis, so the chip count scales by exactly ``m``).
-SWEEP_MULTIPLIERS = (1, 4, 16)
-
 #: How :func:`run_paired` times a comparison; recorded in every
 #: paired report.
 PAIRED_METHODOLOGY = (
@@ -129,29 +123,6 @@ def _quiesced_gc():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def sweep_geometry(multiplier: int) -> NandGeometry:
-    """The benchmark geometry scaled to ``multiplier`` times the chips.
-
-    Both die axes grow by ``sqrt(multiplier)`` — channels from 4 and
-    chips per channel from 2 — so parallelism rises without making
-    individual chips bigger; blocks, pages and page size stay at the
-    experiment defaults.  ``multiplier`` must be a perfect square.
-    """
-    multiplier = int(multiplier)
-    factor = isqrt(multiplier) if multiplier > 0 else 0
-    if multiplier < 1 or factor * factor != multiplier:
-        raise ValueError(
-            f"sweep multiplier must be a positive perfect square, "
-            f"got {multiplier}")
-    return NandGeometry(
-        channels=4 * factor,
-        chips_per_channel=2 * factor,
-        blocks_per_chip=64,
-        pages_per_block=64,
-        page_size=4096,
-    )
 
 
 def bench_span(ftl_name: str, config: ExperimentConfig) -> int:
@@ -403,8 +374,8 @@ def _scenario_replay_case(span: int, scale: float, seed: int,
 class PairedResult:
     """Rates of the two arms of one :func:`run_paired` comparison.
 
-    ``a`` holds events/sec of the reference arm (untraced, plain, heap
-    kernel) and ``b`` of the arm under test, one entry per round; every
+    ``a`` holds events/sec of the reference arm (untraced, plain) and
+    ``b`` of the arm under test, one entry per round; every
     run of both arms processed ``events`` kernel events.
 
     The headline estimators (:meth:`speedup`, :meth:`overhead_pct`)
@@ -450,9 +421,8 @@ class PairedResult:
                 or self.overhead_pct() <= self.budget_pct)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON projection (an overhead report is the ``BENCH_PR5.json``
-        schema, a sweep point one entry of ``BENCH_PR7.json``'s
-        ``points``)."""
+        """JSON projection (the ``BENCH_PR5.json`` schema of an
+        overhead report)."""
         name_a, name_b = self.labels
         summary: Dict[str, object] = {
             f"best_{name_a}": max(self.a),
@@ -617,94 +587,6 @@ def run_physics_overhead(
                 "retention_baseline_hours": PHYSICS_BENCH_RETENTION_HOURS,
             }),
     )
-    _write_report(result, output_path)
-    return result
-
-
-@dataclasses.dataclass
-class ScaleSweepResult:
-    """Outcome of ``repro perfbench --scale-sweep``: one
-    :class:`PairedResult` per geometry multiplier, heap-kernel oracle
-    (``baseline``) against the default kernel (``new``)."""
-
-    workload: str
-    scale: float
-    seed: int
-    rounds: int
-    points: List[PairedResult]
-
-    def passed(self) -> bool:
-        """The sweep has no floor; it fails only on construction (an
-        event-count mismatch between arms raises)."""
-        return True
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON projection (the ``BENCH_PR7.json`` schema)."""
-        return _report(
-            workload=self.workload,
-            scale=self.scale,
-            seed=self.seed,
-            rounds=self.rounds,
-            kernel=ExperimentConfig().kernel,
-            methodology=PAIRED_METHODOLOGY,
-            points=[p.to_dict() for p in self.points],
-        )
-
-    def render(self) -> str:
-        rows = [
-            f"scale sweep: {self.workload} (scale {self.scale:g}, "
-            f"{self.rounds} rounds/arm, kernel={ExperimentConfig().kernel}"
-            f" vs heap baseline)",
-            f"{'mult':>5s} {'chips':>6s} {'events':>9s} "
-            f"{'new ev/s':>10s} {'base ev/s':>10s} {'speedup':>8s}",
-        ]
-        for p in self.points:
-            rows.append(
-                f"{p.title:>5s} {p.context['total_chips']:>6d} "
-                f"{p.events:>9d} {max(p.b):>10.0f} "
-                f"{max(p.a):>10.0f} {p.speedup():>8.3f}")
-        return "\n".join(rows)
-
-
-def run_scale_sweep(
-    workload: str = "fig8_write",
-    scale: float = 1.0,
-    seed: int = 1,
-    rounds: int = 3,
-    multipliers: Sequence[int] = SWEEP_MULTIPLIERS,
-    output_path: Optional[str] = None,
-) -> ScaleSweepResult:
-    """Benchmark one workload across geometry multipliers.
-
-    For each multiplier the device grows to ``m`` times the chips
-    (:func:`sweep_geometry`) and the same generated streams are timed
-    by :func:`run_paired` under the frozen heap-kernel oracle (arm A)
-    and the default kernel (arm B), so the sweep doubles as an
-    end-to-end kernel equivalence check.
-    """
-    points: List[PairedResult] = []
-    for multiplier in multipliers:
-        geometry = sweep_geometry(multiplier)
-        config = ExperimentConfig(geometry=geometry, track_history=False)
-        heap = dataclasses.replace(config, kernel="heap")
-        span = bench_span(BENCH_FTL, config)
-        run = _workload_keywords(workload, span, scale, seed, WORKLOADS)
-        points.append(run_paired(
-            workload, span, rounds,
-            (lambda: {**run, "config": heap},
-             lambda: {**run, "config": config}),
-            title=f"{multiplier}x",
-            labels=("baseline", "new"),
-            context={
-                "multiplier": multiplier,
-                "channels": geometry.channels,
-                "chips_per_channel": geometry.chips_per_channel,
-                "total_chips": geometry.total_chips,
-                "span": span,
-            },
-        ))
-    result = ScaleSweepResult(workload=workload, scale=scale, seed=seed,
-                              rounds=rounds, points=points)
     _write_report(result, output_path)
     return result
 

@@ -18,9 +18,9 @@ finally to parity reconstruction.  The controller charges latency per
 rung actually attempted.
 
 Determinism contract: one ``random.Random(seed)`` stream, consumed only
-on sampled (host) reads, in completion order — which both kernels
-retire identically — so results are byte-identical across ``kernel``
-choices and across process boundaries.
+on sampled (host) reads, in completion order — which both op cores
+retire identically — so results are byte-identical across op cores
+and across process boundaries.
 The engine is default-off: nothing in this module runs unless a
 :class:`PhysicsEngine` is attached to the controller.  Building one
 loads scipy's compiled binomial tail (:mod:`scipy.special`, through

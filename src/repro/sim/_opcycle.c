@@ -1,12 +1,14 @@
-/* Compiled op cycle: the calendar event loop and the storage
+/* Compiled op cycle: the heap event loop and the storage
  * controller's completion -> dispatch path.
  *
  * A line-for-line port of four pure-Python routines, which stay the
  * reference (and the fallback when this file cannot be built):
  *
- *   run()   Simulator.run in repro/sim/kernel.py
+ *   run()   Simulator.run in repro/sim/kernel.py: heapq.heappop on the
+ *           kernel's queue in a loop
  *   pump()  StorageController._pump in repro/sim/controller.py, with
- *           _execute (tracer-ring append and completion push),
+ *           _execute (tracer-ring append and the completion push,
+ *           heapq.heappush on the kernel's queue),
  *           _on_op_done (reached from run() when a popped event is a
  *           controller completion) and the non-coalescing admission
  *           drain (StorageController._drain_admissions with
@@ -42,21 +44,19 @@
 /* Registered by setup(); NULL until then. */
 static PyObject *on_op_done_func;   /* StorageController._on_op_done */
 static PyObject *sim_push_func;     /* Simulator._push */
-static PyObject *advance_day_func;  /* Simulator._advance_day */
 static PyObject *kind_program;      /* OpKind.PROGRAM */
 static PyObject *kind_read;         /* OpKind.READ */
 static PyTypeObject *buffered_write_type;
 
 /* Created at module init. */
-static PyObject *heappush;
+static PyObject *heappush, *heappop;
 static PyObject *empty_tuple;
 static PyObject *int_zero, *int_one, *int_minus_one;
 static PyObject *kind_codes[3];     /* op-ring kind codes 0, 1, 2 */
 
 /* Interned attribute names. */
-static PyObject *s_dict, *s_now, *s_processed, *s_active, *s_active_pos,
-    *s_active_key, *s_horizon_key, *s_buckets, *s_key_heap, *s_far,
-    *s_inv_width, *s_seq, *s_cancelled, *s_pumping, *s_idle,
+static PyObject *s_dict, *s_now, *s_processed, *s_queue, *s_buckets,
+    *s_seq, *s_cancelled, *s_pumping, *s_idle,
     *s_read_queues, *s_ftl_next_op, *s_admissions, *s_write_buffer,
     *s_capacity, *s_live, *s_sim, *s_queued_reads, *s_ftl,
     *s_wants_background_gc, *s_background_op, *s_next_read_op,
@@ -196,71 +196,6 @@ call_truth(PyObject *result)
 /* ------------------------------------------------------------------ */
 /* ordering                                                            */
 
-/* ``a < b`` for two queue entries: C compares for the usual float
- * time / int priority / int seq prefix, the list comparison
- * otherwise.  Returns 1, 0, or -1 on error. */
-static int
-entry_lt(PyObject *a, PyObject *b)
-{
-    if (PyList_Check(a) && PyList_Check(b)
-            && PyList_GET_SIZE(a) >= 3 && PyList_GET_SIZE(b) >= 3) {
-        PyObject *x = PyList_GET_ITEM(a, 0), *y = PyList_GET_ITEM(b, 0);
-        if (PyFloat_CheckExact(x) && PyFloat_CheckExact(y)) {
-            double dx = PyFloat_AS_DOUBLE(x), dy = PyFloat_AS_DOUBLE(y);
-            if (dx < dy)
-                return 1;
-            if (dx > dy)
-                return 0;
-            if (dx == dy) {
-                for (Py_ssize_t i = 1; i < 3; i++) {
-                    x = PyList_GET_ITEM(a, i);
-                    y = PyList_GET_ITEM(b, i);
-                    if (!PyLong_CheckExact(x) || !PyLong_CheckExact(y))
-                        goto generic;
-                    int ox, oy;
-                    long long lx = PyLong_AsLongLongAndOverflow(x, &ox);
-                    long long ly = PyLong_AsLongLongAndOverflow(y, &oy);
-                    if (ox || oy)
-                        goto generic;
-                    if (lx < ly)
-                        return 1;
-                    if (lx > ly)
-                        return 0;
-                }
-            }
-        }
-    }
-generic:
-    return PyObject_RichCompareBool(a, b, Py_LT);
-}
-
-/* bisect.insort(list, entry, lo) for queue entries. */
-static int
-insort_entry(PyObject *list, PyObject *entry, Py_ssize_t lo)
-{
-    if (!PyList_Check(list)) {
-        PyErr_SetString(PyExc_TypeError, "the active bucket must be a list");
-        return -1;
-    }
-    Py_ssize_t hi = PyList_GET_SIZE(list);
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        PyObject *item = PyList_GET_ITEM(list, mid);
-        Py_INCREF(item);
-        int lt = entry_lt(entry, item);
-        Py_DECREF(item);
-        if (lt < 0)
-            return -1;
-        if (lt)
-            hi = mid;
-        else
-            lo = mid + 1;
-        if (hi > PyList_GET_SIZE(list))
-            hi = PyList_GET_SIZE(list);
-    }
-    return PyList_Insert(list, lo, entry);
-}
-
 /* bisect over a sorted list of ints (the controller's idle-chip list);
  * right=1 is bisect_right, right=0 bisect_left. */
 static Py_ssize_t
@@ -293,114 +228,6 @@ bisect_int(PyObject *list, PyObject *x, int right)
             lo = mid + 1;
     }
     return lo;
-}
-
-/* ------------------------------------------------------------------ */
-/* calendar queue                                                      */
-
-/* Simulator._push of a completion entry (a fresh 7-slot list) on the
- * instance dict ``d`` of ``sim``. */
-static int
-cal_push(PyObject *d, PyObject *sim, PyObject *entry)
-{
-    double inv_width, t;
-    long long active_key;
-    Py_ssize_t horizon_key;
-    int overflow;
-    t = PyFloat_AsDouble(PyList_GET_ITEM(entry, E_TIME));
-    if (t == -1.0 && PyErr_Occurred())
-        return -1;
-    if (dget_double(d, sim, s_inv_width, &inv_width) < 0)
-        return -1;
-    double prod = t * inv_width;
-    /* keys past the long long range take the Python path (int() of a
-     * float is exact at any magnitude) */
-    if (!(prod > -4e18 && prod < 4e18))
-        goto python;
-    long long key = (long long)prod;
-    PyObject *v = dget(d, sim, s_active_key);
-    if (v == NULL)
-        return -1;
-    active_key = PyLong_AsLongLongAndOverflow(v, &overflow);
-    Py_DECREF(v);
-    if (overflow)
-        goto python;
-    if (active_key == -1 && PyErr_Occurred())
-        return -1;
-    if (key > active_key) {
-        if (dget_ssize(d, sim, s_horizon_key, &horizon_key) < 0)
-            return -1;
-        if (key < horizon_key) {
-            PyObject *buckets = dget(d, sim, s_buckets);
-            if (buckets == NULL)
-                return -1;
-            PyObject *keyobj = PyLong_FromLongLong(key);
-            if (keyobj == NULL) {
-                Py_DECREF(buckets);
-                return -1;
-            }
-            PyObject *bucket = PyDict_GetItemWithError(buckets, keyobj);
-            int r;
-            if (bucket != NULL) {
-                r = PyList_Append(bucket, entry);
-            }
-            else if (PyErr_Occurred()) {
-                r = -1;
-            }
-            else {
-                PyObject *fresh = PyList_New(1);
-                r = -1;
-                if (fresh != NULL) {
-                    Py_INCREF(entry);
-                    PyList_SET_ITEM(fresh, 0, entry);
-                    r = PyDict_SetItem(buckets, keyobj, fresh);
-                    Py_DECREF(fresh);
-                }
-                if (r == 0) {
-                    PyObject *key_heap = dget(d, sim, s_key_heap);
-                    PyObject *res = key_heap == NULL ? NULL
-                        : PyObject_CallFunctionObjArgs(heappush, key_heap,
-                                                       keyobj, NULL);
-                    Py_XDECREF(key_heap);
-                    r = res == NULL ? -1 : 0;
-                    Py_XDECREF(res);
-                }
-            }
-            Py_DECREF(keyobj);
-            Py_DECREF(buckets);
-            return r;
-        }
-        PyObject *far = dget(d, sim, s_far);
-        if (far == NULL)
-            return -1;
-        PyObject *res = PyObject_CallFunctionObjArgs(heappush, far, entry,
-                                                     NULL);
-        Py_DECREF(far);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-    else {
-        /* the bucket being drained: insort at or after the drain
-         * position, entries before it already fired */
-        Py_ssize_t pos;
-        int r = -1;
-        PyObject *active = dget(d, sim, s_active);
-        if (active != NULL && dget_ssize(d, sim, s_active_pos, &pos) == 0)
-            r = insort_entry(active, entry, pos);
-        Py_XDECREF(active);
-        return r;
-    }
-python:
-    {
-        PyObject *res = PyObject_CallFunctionObjArgs(sim_push_func, sim,
-                                                     entry, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -649,9 +476,16 @@ execute(PyObject *cd, PyObject *ctrl, PyObject *chip, PyObject *op,
         int r;
         if (PyMethod_Check(push)
                 && PyMethod_GET_FUNCTION(push) == sim_push_func) {
+            /* Simulator._push: heappush(sim._queue, entry) */
             PyObject *target = PyMethod_GET_SELF(push);
             PyObject *td = instance_dict(target);
-            r = td == NULL ? -1 : cal_push(td, target, entry);
+            PyObject *queue = td == NULL ? NULL : dget(td, target, s_queue);
+            PyObject *cargs[2] = {queue, entry};
+            PyObject *x = queue == NULL ? NULL
+                : PyObject_Vectorcall(heappush, cargs, 2, NULL);
+            r = x == NULL ? -1 : 0;
+            Py_XDECREF(x);
+            Py_XDECREF(queue);
             Py_XDECREF(td);
         }
         else {
@@ -1319,7 +1153,7 @@ check_entry(PyObject *entry)
 
 PyDoc_STRVAR(run_doc,
 "run(sim, until, max_events)\n--\n\n"
-"Simulator.run over the calendar queue of ``sim``.");
+"Simulator.run over the binary heap of ``sim``.");
 
 static PyObject *
 op_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -1345,101 +1179,74 @@ op_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *d = instance_dict(sim);
     if (d == NULL)
         return NULL;
-    PyObject *active = NULL;
-    for (;;) {
-        /* _ensure_head: position on the next live entry */
-        Py_ssize_t pos;
-        active = dget(d, sim, s_active);
-        if (active == NULL || dget_ssize(d, sim, s_active_pos, &pos) < 0)
+    PyObject *queue = dget(d, sim, s_queue);
+    if (queue == NULL)
+        goto error;
+    if (!PyList_Check(queue)) {
+        PyErr_SetString(PyExc_TypeError, "the event queue must be a list");
+        goto error;
+    }
+    /* halt() clears the queue in place, so a callback that halts ends
+     * the loop here */
+    while (PyList_GET_SIZE(queue) > 0) {
+        PyObject *entry = PyList_GET_ITEM(queue, 0);
+        if (check_entry(entry) < 0)
             goto error;
-        PyObject *entry;
-        for (;;) {
-            if (!PyList_Check(active)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "the active bucket must be a list");
-                goto error;
-            }
-            if (pos < PyList_GET_SIZE(active)) {
-                entry = PyList_GET_ITEM(active, pos);
-                if (check_entry(entry) < 0)
+        PyObject *flag = PyList_GET_ITEM(entry, E_CANCELLED);
+        int cancelled = flag == Py_False ? 0
+            : flag == Py_True ? 1 : PyObject_IsTrue(flag);
+        if (cancelled < 0)
+            goto error;
+        if (!cancelled) {
+            if (remaining == 0)
+                break;
+            if (have_until) {
+                PyObject *time = PyList_GET_ITEM(entry, E_TIME);
+                int late;
+                if (PyFloat_CheckExact(time))
+                    late = PyFloat_AS_DOUBLE(time) > until_d;
+                else
+                    late = PyObject_RichCompareBool(time, until, Py_GT);
+                if (late < 0)
                     goto error;
-                PyObject *flag = PyList_GET_ITEM(entry, E_CANCELLED);
-                int cancelled = flag == Py_False ? 0
-                    : flag == Py_True ? 1 : PyObject_IsTrue(flag);
-                if (cancelled < 0)
-                    goto error;
-                if (cancelled) {
-                    if (collect_cancelled(entry) < 0)
+                if (late) {
+                    if (PyDict_SetItem(d, s_now, until) < 0)
                         goto error;
-                    pos++;
-                    continue;
+                    break;
                 }
-                break;
-            }
-            if (dset_ssize(d, s_active_pos, pos) < 0)
-                goto error;
-            PyObject *more = PyObject_CallOneArg(advance_day_func, sim);
-            int r = call_truth(more);
-            if (r < 0)
-                goto error;
-            if (!r) {
-                Py_DECREF(active);
-                Py_DECREF(d);
-                Py_RETURN_NONE;
-            }
-            Py_DECREF(active);
-            active = dget(d, sim, s_active);
-            if (active == NULL)
-                goto error;
-            pos = 0;
-        }
-        if (remaining == 0) {
-            if (dset_ssize(d, s_active_pos, pos) < 0)
-                goto error;
-            break;
-        }
-        PyObject *time = PyList_GET_ITEM(entry, E_TIME);
-        if (have_until) {
-            int late;
-            if (PyFloat_CheckExact(time))
-                late = PyFloat_AS_DOUBLE(time) > until_d;
-            else
-                late = PyObject_RichCompareBool(time, until, Py_GT);
-            if (late < 0)
-                goto error;
-            if (late) {
-                if (dset_ssize(d, s_active_pos, pos) < 0
-                        || PyDict_SetItem(d, s_now, until) < 0)
-                    goto error;
-                break;
             }
         }
-        Py_INCREF(entry);
-        Py_ssize_t processed;
-        int r = dset_ssize(d, s_active_pos, pos + 1);
-        if (r == 0) {
+        /* heappop returns queue[0], the entry just inspected */
+        entry = PyObject_CallOneArg(heappop, queue);
+        if (entry == NULL)
+            goto error;
+        int r;
+        if (cancelled) {
+            r = collect_cancelled(entry);
+        }
+        else {
+            Py_ssize_t processed;
             Py_INCREF(Py_None);
             r = PyList_SetItem(entry, E_COUNTER, Py_None);
+            if (r == 0)
+                r = PyDict_SetItem(d, s_now, PyList_GET_ITEM(entry, E_TIME));
+            if (r == 0)
+                r = dget_ssize(d, sim, s_processed, &processed);
+            if (r == 0)
+                r = dset_ssize(d, s_processed, processed + 1);
+            if (r == 0)
+                r = fire(entry);
+            remaining -= 1;
         }
-        if (r == 0)
-            r = PyDict_SetItem(d, s_now, time);
-        if (r == 0)
-            r = dget_ssize(d, sim, s_processed, &processed);
-        if (r == 0)
-            r = dset_ssize(d, s_processed, processed + 1);
-        Py_CLEAR(active);
-        if (r == 0)
-            r = fire(entry);
         Py_DECREF(entry);
         if (r < 0)
             goto error;
-        remaining -= 1;
     }
-    Py_XDECREF(active);
+    Py_DECREF(queue);
     Py_DECREF(d);
     Py_RETURN_NONE;
 error:
-    Py_XDECREF(active);
+    Py_XDECREF(queue);
     Py_DECREF(d);
     return NULL;
 }
@@ -1457,32 +1264,31 @@ op_pump(PyObject *module, PyObject *ctrl)
 }
 
 PyDoc_STRVAR(setup_doc,
-"setup(on_op_done, sim_push, advance_day, program, read, buffered_write)\n"
+"setup(on_op_done, sim_push, program, read, buffered_write)\n"
 "--\n\n"
 "Register the Python functions and classes the op cycle recognises:\n"
-"StorageController._on_op_done, Simulator._push,\n"
-"Simulator._advance_day, OpKind.PROGRAM, OpKind.READ and\n"
-"BufferedWrite.");
+"StorageController._on_op_done, Simulator._push, OpKind.PROGRAM,\n"
+"OpKind.READ and BufferedWrite.");
 
 static PyObject *
 op_setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "setup() takes 6 arguments");
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "setup() takes 5 arguments");
         return NULL;
     }
-    if (!PyType_Check(args[5])) {
+    if (!PyType_Check(args[4])) {
         PyErr_SetString(PyExc_TypeError, "buffered_write must be a type");
         return NULL;
     }
-    PyObject **slots[5] = {&on_op_done_func, &sim_push_func,
-                           &advance_day_func, &kind_program, &kind_read};
-    for (int i = 0; i < 5; i++) {
+    PyObject **slots[4] = {&on_op_done_func, &sim_push_func,
+                           &kind_program, &kind_read};
+    for (int i = 0; i < 4; i++) {
         Py_INCREF(args[i]);
         Py_XSETREF(*slots[i], args[i]);
     }
-    Py_INCREF(args[5]);
-    Py_XSETREF(buffered_write_type, (PyTypeObject *)args[5]);
+    Py_INCREF(args[4]);
+    Py_XSETREF(buffered_write_type, (PyTypeObject *)args[4]);
     Py_RETURN_NONE;
 }
 
@@ -1497,7 +1303,7 @@ static PyMethodDef opcycle_methods[] = {
 static struct PyModuleDef opcycle_module = {
     PyModuleDef_HEAD_INIT,
     "_opcycle",
-    "Compiled op cycle: the calendar event loop and the storage "
+    "Compiled op cycle: the heap event loop and the storage "
     "controller's completion -> dispatch path.",
     -1,
     opcycle_methods,
@@ -1512,14 +1318,8 @@ PyInit__opcycle(void)
     INTERN(s_dict, "__dict__");
     INTERN(s_now, "now");
     INTERN(s_processed, "processed");
-    INTERN(s_active, "_active");
-    INTERN(s_active_pos, "_active_pos");
-    INTERN(s_active_key, "_active_key");
-    INTERN(s_horizon_key, "_horizon_key");
+    INTERN(s_queue, "_queue");
     INTERN(s_buckets, "_buckets");
-    INTERN(s_key_heap, "_key_heap");
-    INTERN(s_far, "_far");
-    INTERN(s_inv_width, "_inv_width");
     INTERN(s_seq, "_seq");
     INTERN(s_cancelled, "_cancelled");
     INTERN(s_pumping, "_pumping");
@@ -1601,8 +1401,9 @@ PyInit__opcycle(void)
     if (heapq == NULL)
         return NULL;
     heappush = PyObject_GetAttrString(heapq, "heappush");
+    heappop = PyObject_GetAttrString(heapq, "heappop");
     Py_DECREF(heapq);
-    if (heappush == NULL)
+    if (heappush == NULL || heappop == NULL)
         return NULL;
     return PyModule_Create(&opcycle_module);
 }

@@ -104,8 +104,7 @@ class StorageController:
         self.completion_hook: Optional[Callable[[Request, float], None]] = \
             None
         self._pumping = False
-        #: completion-event insertion, bound once (works for both the
-        #: calendar and the heap kernel; see Simulator._push)
+        #: completion-event insertion, bound once (see Simulator._push)
         self._sim_push = sim._push
         #: op currently executing per chip (power-loss tooling inspects it)
         self.in_flight: Dict[int, FlashOp] = {}
@@ -688,5 +687,4 @@ class StorageController:
 
 if _native.opcycle is not None:
     _native.opcycle.setup(StorageController._on_op_done, Simulator._push,
-                          Simulator._advance_day, _PROGRAM, _READ,
-                          BufferedWrite)
+                          _PROGRAM, _READ, BufferedWrite)

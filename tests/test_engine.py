@@ -101,6 +101,51 @@ class TestRoundTrips:
         assert clone == TEST_CONFIG
         assert "stepping" not in clone.to_dict()
 
+    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
+    def test_legacy_config_with_kernel_still_loads(self, kernel):
+        """Configs and cached results written while the event kernel
+        was selectable carry a ``kernel`` key; every kernel popped
+        events in the same order, so loading ignores it."""
+        legacy = dict(TEST_CONFIG.to_dict(), kernel=kernel)
+        clone = ExperimentConfig.from_dict(json.loads(json.dumps(legacy)))
+        assert clone == TEST_CONFIG
+        assert "kernel" not in clone.to_dict()
+
+    def test_config_without_track_history_defaults_on(self):
+        data = TEST_CONFIG.to_dict()
+        del data["track_history"]
+        assert ExperimentConfig.from_dict(data).track_history is True
+
+    @pytest.mark.parametrize("field, value", [
+        ("geometry", None),
+        ("geometry", 5),
+        ("geometry", {"channels": 2, "lanes": 4}),
+        ("timing", "fast"),
+        ("ftl_config", []),
+        ("policy_config", {"no_such_knob": 1}),
+        ("buffer_pages", "256"),
+        ("buffer_pages", 2.5),
+        ("buffer_pages", True),
+        ("bandwidth_window", None),
+        ("warmup", "yes"),
+        ("flex_parity_interval", None),
+        ("rtf_active_blocks", "8"),
+        ("flex_use_predictor", 0),
+        ("track_history", "no"),
+        ("warmup", ...),
+        ("timing", ...),
+    ])
+    def test_bad_config_field_names_it(self, field, value):
+        """A missing (``...``) or ill-typed field raises ValueError
+        naming the field, never a bare KeyError or TypeError."""
+        data = TEST_CONFIG.to_dict()
+        if value is ...:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            ExperimentConfig.from_dict(data)
+
     def test_run_result_round_trip(self):
         scenario = _small_scenario()
         result = run_workload(ftl_name="pageFTL",

@@ -295,8 +295,3 @@ class TestServeCli:
     def test_serve_rejects_resume_without_dir(self):
         from repro.cli import main
         assert main(["serve", "--resume"]) != 0
-
-    def test_serve_kernel_choices(self):
-        from repro.cli import main
-        assert main(["serve", "--devices", "2", "--ops", "40",
-                     "--kernel", "heap", "--no-cache"]) == 0

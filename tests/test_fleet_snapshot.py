@@ -3,8 +3,8 @@
 The fleet's backbone claim is byte-identity: a run checkpointed at an
 arbitrary event boundary and resumed produces exactly the same
 SimStats, FTL counters and clock as the run that never stopped.  These
-tests assert it per kernel (calendar and heap), per FTL (pageFTL and
-flexFTL), for a QoS-fronted device, and for a
+tests assert it per FTL (pageFTL and flexFTL), for a QoS-fronted
+device, and for a
 snapshot taken *between* the multi-cut power losses of the PR-4
 machinery.
 """
@@ -19,7 +19,6 @@ from repro.fleet.device import DeviceRun, DeviceSpec
 from repro.fleet.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotFormatError,
-    SnapshotMismatchError,
     read_snapshot,
     read_snapshot_header,
     write_snapshot,
@@ -36,12 +35,10 @@ GEOMETRY = NandGeometry(channels=2, chips_per_channel=1,
                         page_size=4096)
 
 
-def config_for(kernel="calendar"):
-    return ExperimentConfig(geometry=GEOMETRY, track_history=False,
-                            kernel=kernel)
+CONFIG = ExperimentConfig(geometry=GEOMETRY, track_history=False)
 
 
-def spec_for(kernel="calendar", ftl="flexFTL",
+def spec_for(ftl="flexFTL",
              tenants=0, device_id=0, ops=240, seed=11):
     scenario = make_preset("oltp", footprint=96, total_ops=ops,
                            seed=seed)
@@ -59,7 +56,7 @@ def spec_for(kernel="calendar", ftl="flexFTL",
         device_id=device_id,
         ftl_name=ftl,
         scenario=spec,
-        config=config_for(kernel),
+        config=CONFIG,
         arbiter="wrr" if tenants else None,
     )
 
@@ -91,10 +88,9 @@ def rewrite_header(path, **fields):
 
 
 class TestDeviceRoundTrip:
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
     @pytest.mark.parametrize("ftl", ["pageFTL", "flexFTL"])
-    def test_resume_equals_uninterrupted(self, tmp_path, kernel, ftl):
-        spec = spec_for(kernel=kernel, ftl=ftl)
+    def test_resume_equals_uninterrupted(self, tmp_path, ftl):
+        spec = spec_for(ftl=ftl)
 
         oracle = DeviceRun.build(spec)
         oracle.run_to_completion()
@@ -104,27 +100,25 @@ class TestDeviceRoundTrip:
         assert not run.done  # mid-run: the checkpoint is non-trivial
         path = tmp_path / "dev.snap"
         header = run.save(path)
-        assert header["kernel"] == kernel
+        assert "kernel" not in header
         assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
 
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
 
         assert surface(resumed) == surface(oracle)
         assert resumed.fingerprint() == oracle.fingerprint()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
-    def test_interrupted_continues_like_original(self, tmp_path,
-                                                 kernel):
+    def test_interrupted_continues_like_original(self, tmp_path):
         """The snapshot does not perturb the run it was taken from."""
-        spec = spec_for(kernel=kernel)
+        spec = spec_for()
         run = DeviceRun.build(spec)
         run.advance(500)
         path = tmp_path / "dev.snap"
         run.save(path)
         run.run_to_completion()
 
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
         assert surface(resumed) == surface(run)
 
@@ -137,7 +131,7 @@ class TestDeviceRoundTrip:
         run.advance(400)
         path = tmp_path / "dev.snap"
         run.save(path)
-        resumed = DeviceRun.load(path, expect_config=spec.config)
+        resumed = DeviceRun.load(path)
         resumed.run_to_completion()
 
         assert surface(resumed) == surface(oracle)
@@ -172,17 +166,6 @@ class TestDeviceRoundTrip:
 
 
 class TestHeaderValidation:
-    def test_kernel_mismatch_refused(self, tmp_path):
-        spec = spec_for(kernel="calendar")
-        run = DeviceRun.build(spec)
-        run.advance(200)
-        path = tmp_path / "dev.snap"
-        run.save(path)
-        with pytest.raises(SnapshotMismatchError,
-                           match="calendar.*heap|heap.*calendar"):
-            DeviceRun.load(path,
-                           expect_config=config_for(kernel="heap"))
-
     def test_header_readable_without_payload(self, tmp_path):
         run = DeviceRun.build(spec_for())
         run.advance(300)
@@ -219,20 +202,22 @@ class TestHeaderValidation:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot_header(path)
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5])
     def test_old_format_refused_before_unpickling(self, tmp_path,
                                                   old_format):
         """Older payloads reference classes or state that no longer
         exist (format 1: controller internals; format 2: the separate
         streaming hosts and their op record; format 3: the multi-tenant
         host's own completion callback; format 4: the submission
-        queues' depth-sample lists); the header check refuses them
-        with the typed format error, before the unpickler runs."""
+        queues' depth-sample lists; format 5: the bucket-queue
+        kernel); the header check refuses them with the typed format
+        error, before the unpickler runs."""
         run = DeviceRun.build(spec_for())
         run.advance(200)
         path = tmp_path / "dev.snap"
         run.save(path)
-        rewrite_header(path, format_version=old_format, stepping="event")
+        rewrite_header(path, format_version=old_format, stepping="event",
+                       kernel="calendar")
         with pytest.raises(SnapshotFormatError,
                            match=f"uses snapshot format {old_format}; "
                                  f"this build reads format "
@@ -242,17 +227,16 @@ class TestHeaderValidation:
                            match=f"format {old_format}"):
             read_snapshot_header(path)
 
-    def test_header_needs_only_kernel(self, tmp_path):
-        path = tmp_path / "kernel-only.snap"
-        header = write_snapshot(path, {"x": 1}, {"kernel": "heap"})
-        assert "stepping" not in header
-        with pytest.raises(ValueError, match="kernel"):
-            write_snapshot(path, {"x": 1}, {})
+    def test_header_needs_no_caller_fields(self, tmp_path):
+        path = tmp_path / "bare.snap"
+        header = write_snapshot(path, {"x": 1}, {})
+        assert "stepping" not in header and "kernel" not in header
+        assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
+        assert read_snapshot(path) == (header, {"x": 1})
 
     def test_version_skew_warns(self, tmp_path):
         path = tmp_path / "skew.snap"
-        write_snapshot(path, {"x": 1},
-                       {"kernel": "calendar"})
+        write_snapshot(path, {"x": 1}, {})
         rewrite_header(path, package_version="0.0.0-elsewhere")
         with pytest.warns(UserWarning, match="0.0.0-elsewhere"):
             read_snapshot(path)
@@ -272,7 +256,7 @@ class TestSnapshotBetweenPowerCuts:
         from repro.scenarios.base import scenario_from_spec
 
         def build():
-            config = config_for()
+            config = CONFIG
             scenario = scenario_from_spec(
                 make_preset("oltp", footprint=96, total_ops=300,
                             seed=4).spec())
@@ -319,11 +303,9 @@ class TestSnapshotBetweenPowerCuts:
         path = tmp_path / "mid.snap"
         write_snapshot(
             path,
-            {"state": state, "recovered": 1},
-            {"kernel": "calendar"})
+            {"state": state, "recovered": 1}, {})
 
-        _header, payload = read_snapshot(path,
-                                         expect_kernel="calendar")
+        _header, payload = read_snapshot(path)
         resumed = payload["state"]
         run_through_cuts(resumed, payload["recovered"])
 
@@ -345,7 +327,7 @@ class TestHostPicklability:
         from repro.experiments.runner import build_system
 
         sim, _a, _b, _f, controller = build_system("pageFTL",
-                                                   config_for())
+                                                   CONFIG)
         scenario = make_preset("oltp", footprint=64, total_ops=50,
                                seed=1)
         return sim, controller, scenario

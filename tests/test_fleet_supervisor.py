@@ -390,8 +390,7 @@ class TestSnapshotDurability:
         monkeypatch.setattr(os, "fsync",
                             lambda fd: (synced.append(fd),
                                         real_fsync(fd))[1])
-        write_snapshot(tmp_path / "x.snap", {"v": 1},
-                       {"kernel": "calendar"})
+        write_snapshot(tmp_path / "x.snap", {"v": 1}, {})
         # At least the payload fd plus the directory fd (twice: once
         # before the rename makes it visible, once after).
         assert len(synced) >= 3
@@ -458,6 +457,5 @@ class TestStaleCheckpointRefusal:
         run.advance(300)
         path = tmp_path / "dev.snap"
         run.save(path)  # no fleet hash in the header
-        resumed = DeviceRun.load(path, expect_config=spec.config,
-                                 expect_fleet_hash="deadbeef")
+        resumed = DeviceRun.load(path, expect_fleet_hash="deadbeef")
         assert resumed.sim.processed == run.sim.processed

@@ -49,9 +49,6 @@ PAIRED_MODES = {
               lambda kwargs: kwargs.get("tracer") is not None),
     "physics": (harness.run_physics_overhead,
                 lambda kwargs: kwargs.get("physics") is not None),
-    "sweep": (lambda **kwargs: harness.run_scale_sweep(multipliers=(1,),
-                                                       **kwargs),
-              lambda kwargs: kwargs["config"].kernel != "heap"),
 }
 
 TINY_TENANTS = [TenantSpec.make("a", [[
@@ -300,3 +297,42 @@ class TestOnePipeline:
         assert isinstance(cell.kwargs["scenario"], dict)
         with pytest.raises(TypeError):
             workload_cell("pageFTL", streams)  # type: ignore[misc]
+
+
+class TestNoCyclicGarbage:
+    """A finished device is freed by reference counting alone: nothing
+    in its graph (events, controller, FTL, array, host) is left for
+    the cyclic collector, on either op core."""
+
+    @staticmethod
+    def _garbage_after(run):
+        """Objects the cyclic collector finds after ``run()`` returns,
+        with automatic collection off so none is freed early."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_finished_run_workload(self, op_core):
+        config = ExperimentConfig(track_history=False)
+
+        def run():
+            run_workload(ftl_name="flexFTL", config=config,
+                         scenario=_scenario("flexFTL", config, ops=500))
+
+        assert self._garbage_after(run) == 0
+
+    def test_finished_device_run(self, op_core):
+        fleet = FleetSpec(devices=1, ops_per_device=200,
+                          config=fleet_config())
+        (spec,) = fleet.device_specs()
+
+        def run():
+            DeviceRun.build(spec).run_to_completion()
+
+        assert self._garbage_after(run) == 0

@@ -49,33 +49,32 @@ def test_history_opt_out_is_outcome_invariant():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", ["heap", "calendar"])
-def test_kernel_modes_match_golden(kernel):
-    """Both event-queue kernels reproduce the pre-calendar golden byte
-    for byte — the PR-7 equivalence contract."""
-    config = ExperimentConfig(kernel=kernel)
-    assert _fig8_json(config=config) == GOLDEN.read_text()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("multiplier", [1, 4, 16])
-def test_sweep_geometries_kernel_equivalence(multiplier):
-    """Calendar and heap kernels produce identical results at every
-    ``--scale-sweep`` geometry (8, 32 and 128 chips).  A small fixed
-    footprint keeps the 128-chip run
-    test-suite-sized; the full-span version is the CI sweep job."""
+@pytest.mark.parametrize("factor", [1, 2, 4], ids=["8", "32", "128"])
+def test_op_cores_match_at_scale(factor, monkeypatch):
+    """The compiled op cycle and the pure-Python path produce
+    identical results at 8, 32 and 128 chips (both die axes grow by
+    ``factor``).  A small fixed footprint keeps the 128-chip run
+    test-suite-sized."""
     from repro.experiments.runner import run_workload
-    from repro.perfbench.harness import sweep_geometry
+    from repro.nand.geometry import NandGeometry
     from repro.scenarios.presets import make_preset
+    from repro.sim import _native
 
-    geometry = sweep_geometry(multiplier)
+    if _native.opcycle is None:
+        pytest.skip("compiled op cycle unavailable")
+    config = ExperimentConfig(
+        geometry=NandGeometry(channels=4 * factor,
+                              chips_per_channel=2 * factor,
+                              blocks_per_chip=64, pages_per_block=64,
+                              page_size=4096),
+        track_history=False)
     scenario = make_preset("oltp", 1500, 600, seed=7)
-    results = []
-    for kernel in ("heap", "calendar"):
-        config = ExperimentConfig(geometry=geometry,
-                                  track_history=False,
-                                  kernel=kernel)
+
+    def result_json():
         result = run_workload(ftl_name="flexFTL", scenario=scenario,
                               config=config)
-        results.append(json.dumps(result.to_dict(), sort_keys=True))
-    assert results[0] == results[1]
+        return json.dumps(result.to_dict(), sort_keys=True)
+
+    compiled = result_json()
+    monkeypatch.setattr(_native, "opcycle", None)
+    assert result_json() == compiled

@@ -124,90 +124,17 @@ class TestCli:
         assert main(["perfbench", "--workloads", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_paired_modes_are_mutually_exclusive(self, capsys):
+        assert main(["perfbench", "--trace-overhead",
+                     "--physics-overhead"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
     def test_full_history_flag(self, capsys):
         assert main(["perfbench", "--scale", "0.01",
                      "--workloads", "fig8_write",
                      "--full-history", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["track_history"] is True
-
-
-class TestScaleSweep:
-    def test_sweep_geometry_shapes(self):
-        from repro.perfbench.harness import sweep_geometry
-
-        g1, g4, g16 = (sweep_geometry(m) for m in (1, 4, 16))
-        assert (g1.channels, g1.chips_per_channel) == (4, 2)
-        assert (g4.channels, g4.chips_per_channel) == (8, 4)
-        assert (g16.channels, g16.chips_per_channel) == (16, 8)
-        # Chip count scales linearly with the multiplier.
-        assert g4.channels * g4.chips_per_channel == 4 * 8
-        assert g16.channels * g16.chips_per_channel == 16 * 8
-
-    def test_non_square_multiplier_rejected(self):
-        from repro.perfbench.harness import sweep_geometry
-
-        for bad in (0, -1, 2, 3, 8):
-            with pytest.raises(ValueError, match="perfect square"):
-                sweep_geometry(bad)
-
-    def test_tiny_sweep_end_to_end(self, tmp_path):
-        from repro.perfbench.harness import run_scale_sweep
-
-        out = tmp_path / "sweep.json"
-        result = run_scale_sweep(scale=0.01, rounds=1,
-                                 multipliers=(1, 4),
-                                 output_path=str(out))
-        assert [p.context["multiplier"] for p in result.points] == [1, 4]
-        for point in result.points:
-            assert point.events > 0
-            assert point.labels == ("baseline", "new")
-            assert len(point.a) == len(point.b) == 1
-            assert point.speedup() > 0
-        payload = result.to_dict()
-        assert payload["kernel"] == "calendar"
-        assert [p["multiplier"] for p in payload["points"]] == [1, 4]
-        # Every key of the committed full-scale report, except the
-        # one-off ``reference`` note and the deleted ``stepping`` field.
-        committed = json.loads((ROOT / "BENCH_PR7.json").read_text())
-        assert set(committed) - {"reference", "stepping"} <= set(payload)
-        for point, fresh in zip(committed["points"], payload["points"]):
-            assert set(point) <= set(fresh)
-            assert set(point["summary"]) <= set(fresh["summary"])
-            assert set(point["events_per_sec"]) == set(
-                fresh["events_per_sec"])
-        assert json.loads(out.read_text()) == json.loads(
-            json.dumps(payload))
-        report = result.render()
-        assert "1x" in report and "4x" in report
-
-    def test_sweep_rejects_bad_inputs(self):
-        from repro.perfbench.harness import run_scale_sweep
-
-        with pytest.raises(KeyError):
-            run_scale_sweep(workload="nope", scale=0.01, rounds=1,
-                            multipliers=(1,))
-        with pytest.raises(ValueError):
-            run_scale_sweep(scale=0.0, rounds=1, multipliers=(1,))
-        with pytest.raises(ValueError):
-            run_scale_sweep(scale=0.01, rounds=0, multipliers=(1,))
-
-    def test_cli_sweep(self, capsys):
-        assert main(["perfbench", "--scale-sweep", "--scale", "0.01",
-                     "--rounds", "1", "--sweep-multipliers", "1",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [p["multiplier"] for p in payload["points"]] == [1]
-
-    def test_cli_sweep_and_trace_overhead_conflict(self, capsys):
-        assert main(["perfbench", "--scale-sweep",
-                     "--trace-overhead"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_cli_bad_multipliers(self, capsys):
-        assert main(["perfbench", "--scale-sweep",
-                     "--sweep-multipliers", "1,x"]) == 2
-        assert "sweep-multipliers" in capsys.readouterr().err
 
 
 class TestPairedResult:

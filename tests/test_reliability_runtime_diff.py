@@ -13,9 +13,10 @@ incremental bookkeeping drifted from the recorded truth.
 
 Also here:
 
-* cross-kernel determinism — an armed physics run serializes
-  byte-identically under the calendar and heap kernels (the engine's
-  RNG is consumed in completion order, which both retire identically);
+* cross-core determinism — an armed physics run serializes to the
+  same pinned digest on the compiled op cycle and the pure-Python
+  path (the engine's RNG is consumed in completion order, which both
+  retire identically);
 * Monte-Carlo convergence — the closed form the runtime samples from
   agrees with the mean of many seeded Monte-Carlo page draws, at the
   unshifted references and at a retry-ladder shift.
@@ -160,14 +161,12 @@ def test_live_run_aggressors_match_recorded_histories():
     _check_live_run_aggressors()
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
-def test_live_run_aggressors_match_oracle_on_each_core(op_core, kernel):
-    _check_live_run_aggressors(kernel)
+def test_live_run_aggressors_match_oracle_on_each_core(op_core):
+    _check_live_run_aggressors()
 
 
-def _check_live_run_aggressors(kernel="calendar"):
-    config = ExperimentConfig(geometry=GEOMETRY, track_history=True,
-                              kernel=kernel)
+def _check_live_run_aggressors():
+    config = ExperimentConfig(geometry=GEOMETRY, track_history=True)
     sim, array, _buffer, ftl, controller = build_system("flexFTL",
                                                         config)
     span = max(1, int(ftl.logical_pages * 0.6))
@@ -201,9 +200,8 @@ def _check_live_run_aggressors(kernel="calendar"):
     assert blocks_checked > 0
 
 
-def _physics_run(kernel, retention_hours_per_second=0.0):
-    config = ExperimentConfig(geometry=GEOMETRY, track_history=True,
-                              kernel=kernel)
+def _physics_run(retention_hours_per_second=0.0):
+    config = ExperimentConfig(geometry=GEOMETRY, track_history=True)
     span = experiment_span(config, utilization=0.6, ftls=["flexFTL"])
     scenario = make_preset("hot_rewrite", span, 400, seed=11)
     physics = PhysicsConfig(
@@ -218,23 +216,15 @@ def _physics_run(kernel, retention_hours_per_second=0.0):
                       sort_keys=True)
 
 
-def test_physics_run_identical_across_kernels():
-    """One armed run, serialized byte-identically under both kernels
-    (the determinism contract: the RNG stream is consumed in
-    completion order, which both kernels retire alike)."""
-    assert _physics_run("heap") == _physics_run("calendar")
-
-
 #: sha256 of the armed run's serialized result, pinned from the
 #: pure-Python op path before the compiled one existed.
 PHYSICS_RUN_SHA256 = ("a1f5e354921ca90087884829bdad96a2"
                       "a7a276a7fb1cdd2f87896e9b08515603")
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
-def test_physics_run_pinned_on_each_core(op_core, kernel):
-    """The armed run is byte-identical on both op paths and kernels."""
-    digest = hashlib.sha256(_physics_run(kernel).encode()).hexdigest()
+def test_physics_run_pinned_on_each_core(op_core):
+    """The armed run is byte-identical on both op paths."""
+    digest = hashlib.sha256(_physics_run().encode()).hexdigest()
     assert digest == PHYSICS_RUN_SHA256
 
 
@@ -251,11 +241,10 @@ PHYSICS_RUNNING_CLOCK_SHA256 = ("6f69a01468b27058f09ad29efc41c6a8"
                                 "4ac67e7256870c76a305c608c25db1ca")
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
-def test_physics_running_clock_pinned_on_each_core(op_core, kernel):
-    """The running-clock run is byte-identical on both op paths and
-    kernels, and differs from the frozen-clock run."""
-    text = _physics_run(kernel, RUNNING_CLOCK_HOURS_PER_SECOND)
+def test_physics_running_clock_pinned_on_each_core(op_core):
+    """The running-clock run is byte-identical on both op paths, and
+    differs from the frozen-clock run."""
+    text = _physics_run(RUNNING_CLOCK_HOURS_PER_SECOND)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest != PHYSICS_RUN_SHA256
     assert digest == PHYSICS_RUNNING_CLOCK_SHA256

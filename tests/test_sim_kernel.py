@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:
@@ -210,93 +210,18 @@ class TestEdgeCases:
         sim.run()
         assert sim.pending == 0
 
-    def test_repr_handles_unnamed_callables(self):
-        import functools
-
-        sim = Simulator()
-        event = sim.schedule(0.1, functools.partial(print, "x"))
-        assert "pending" in repr(event)
-        event.cancel()
-        assert "cancelled" in repr(event)
-
-
-@pytest.mark.parametrize("kernel", [Simulator, HeapSimulator],
-                         ids=["calendar", "heap"])
-class TestScheduleGuards:
-    """Bad times must be rejected loudly, by both kernels alike.
-
-    A NaN would silently corrupt the queue order (every comparison
-    against it is False), an infinity would never fire, and the past
-    is always a modelling bug.
-    """
-
-    def test_nan_delay_rejected(self, kernel):
-        sim = kernel()
-        with pytest.raises(ValueError, match="NaN"):
-            sim.schedule(math.nan, lambda: None)
-
-    def test_nan_absolute_time_rejected(self, kernel):
-        sim = kernel()
-        with pytest.raises(ValueError, match="NaN"):
-            sim.schedule_at(math.nan, lambda: None)
-
-    def test_negative_delay_rejected(self, kernel):
-        sim = kernel()
-        with pytest.raises(ValueError, match="non-negative"):
-            sim.schedule(-1e-9, lambda: None)
-
-    def test_past_absolute_time_rejected(self, kernel):
-        sim = kernel()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError, match="before now"):
-            sim.schedule_at(0.999, lambda: None)
-
-    def test_infinite_times_rejected(self, kernel):
-        sim = kernel()
-        with pytest.raises(ValueError, match="finite"):
-            sim.schedule(math.inf, lambda: None)
-        with pytest.raises(ValueError, match="infinite"):
-            sim.schedule_at(math.inf, lambda: None)
-
-    def test_rejected_schedule_leaves_queue_intact(self, kernel):
-        sim = kernel()
-        fired = []
-        sim.schedule(0.1, fired.append, "ok")
-        for bad in (math.nan, -0.5, math.inf):
-            with pytest.raises(ValueError):
-                sim.schedule(bad, fired.append, "never")
-        assert sim.pending == 1
-        sim.run()
-        assert fired == ["ok"]
-
-
-class TestCalendarStructure:
-    """Calendar-queue specifics: construction, buckets, overflow."""
-
-    def test_bad_bucket_width_rejected(self):
-        for width in (0.0, -1e-6, math.nan):
-            with pytest.raises(ValueError, match="bucket_width"):
-                Simulator(bucket_width=width)
-
-    def test_bad_span_rejected(self):
-        with pytest.raises(ValueError, match="span"):
-            Simulator(span=1)
-
     def test_far_future_events_fire_in_order(self):
-        # span=2 at 1 ms buckets: anything past 2 ms overflows into
-        # the far heap and must migrate back in order.
-        sim = Simulator(bucket_width=1e-3, span=2)
+        sim = Simulator()
         fired = []
         for delay in (0.5, 0.009, 0.0005, 0.1, 0.0021, 0.003):
             sim.schedule(delay, fired.append, delay)
         sim.run()
         assert fired == sorted(fired)
 
-    def test_same_instant_push_respects_priority_of_fired_entry(self):
+    def test_same_instant_push_respects_priority_of_queued_entry(self):
         # An event scheduled *at now* from a callback must not jump
-        # ahead of same-time entries still in the active bucket.
-        sim = Simulator(bucket_width=1.0)
+        # ahead of same-time entries already queued.
+        sim = Simulator()
         fired = []
 
         def first():
@@ -309,13 +234,60 @@ class TestCalendarStructure:
         sim.run()
         assert fired == ["first", "queued", "appended"]
 
-    def test_pending_spans_active_buckets_and_far(self):
-        sim = Simulator(bucket_width=1e-3, span=2)
-        sim.schedule(0.0, lambda: None)       # active bucket
-        sim.schedule(0.0015, lambda: None)    # future bucket
-        keep = sim.schedule(0.5, lambda: None)  # far heap
-        assert sim.pending == 3
-        keep.cancel()
-        assert sim.pending == 2
+    def test_repr_handles_unnamed_callables(self):
+        import functools
+
+        sim = Simulator()
+        event = sim.schedule(0.1, functools.partial(print, "x"))
+        assert "pending" in repr(event)
+        event.cancel()
+        assert "cancelled" in repr(event)
+
+
+class TestScheduleGuards:
+    """Bad times must be rejected loudly.
+
+    A NaN would silently corrupt the queue order (every comparison
+    against it is False), an infinity would never fire, and the past
+    is always a modelling bug.
+    """
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule(math.nan, lambda: None)
+
+    def test_nan_absolute_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_at(math.nan, lambda: None)
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.schedule(-1e-9, lambda: None)
+
+    def test_past_absolute_time_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
         sim.run()
-        assert sim.pending == 0
+        with pytest.raises(ValueError, match="before now"):
+            sim.schedule_at(0.999, lambda: None)
+
+    def test_infinite_times_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule(math.inf, lambda: None)
+        with pytest.raises(ValueError, match="infinite"):
+            sim.schedule_at(math.inf, lambda: None)
+
+    def test_rejected_schedule_leaves_queue_intact(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.1, fired.append, "ok")
+        for bad in (math.nan, -0.5, math.inf):
+            with pytest.raises(ValueError):
+                sim.schedule(bad, fired.append, "never")
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["ok"]
